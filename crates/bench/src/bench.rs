@@ -67,6 +67,48 @@ pub const SHALLOW_ADAPTIVE_TOLERANCE: f64 = 0.05;
 /// inside the slack band.
 pub const MEASUREMENT_NOISE_MARGIN: f64 = 0.08;
 
+/// Environment metadata stamped into every bench JSON, so committed
+/// numbers can be interpreted on a different machine.
+#[derive(Clone, Debug)]
+pub struct EnvMeta {
+    /// Hardware threads available to this process.
+    pub nproc: usize,
+    /// `rustc -V` of the toolchain on `PATH` ("unknown" if unavailable).
+    pub rustc: String,
+    /// Scale label the report was generated at.
+    pub scale: String,
+}
+
+impl EnvMeta {
+    /// Probes the current machine.
+    pub fn detect(scale_name: &str) -> Self {
+        let nproc = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let rustc = std::process::Command::new("rustc")
+            .arg("-V")
+            .output()
+            .ok()
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string());
+        EnvMeta {
+            nproc,
+            rustc,
+            scale: scale_name.to_string(),
+        }
+    }
+
+    /// Renders the flat `"env"` object.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{ \"nproc\": {}, \"rustc\": \"{}\", \"scale\": \"{}\" }}",
+            self.nproc, self.rustc, self.scale
+        )
+    }
+}
+
 /// The recorded queue schedule of one simulation cell.
 pub struct TraceInfo {
     /// The push/pop stream, in execution order.
@@ -130,9 +172,6 @@ pub fn record_crowd_trace(scale: &Scale) -> TraceInfo {
     cfg.nfsds = crowd::SWEEP_NFSDS;
     cfg.server.dup_cache = true;
     cfg.seed = point_seed(0xBE6C, 0, 0);
-    // The point of this trace is the deep single-queue schedule; a
-    // partitioned world would split it across 65 shallow domain queues.
-    cfg.force_monolithic = true;
     let mut world = World::new(cfg);
     world.start_queue_trace();
     let mut ncfg = NhfsstoneConfig::paper(4.0, LoadMix::crowd());
@@ -242,7 +281,7 @@ pub struct BenchReport {
     /// Scale label ("quick" or "paper").
     pub scale_name: String,
     /// Machine and toolchain the numbers were taken on.
-    pub env: crate::pdes::EnvMeta,
+    pub env: EnvMeta,
     /// Operations in the recorded schedule (pushes + pops).
     pub trace_ops: usize,
     /// Events dispatched by the traced cell.
@@ -583,7 +622,7 @@ pub fn run_bench(
         "paper".to_string()
     };
     BenchReport {
-        env: crate::pdes::EnvMeta::detect(&scale_name),
+        env: EnvMeta::detect(&scale_name),
         scale_name,
         trace_ops: trace_info.ops.len(),
         trace_pops: pops,
@@ -712,7 +751,7 @@ mod tests {
     fn fake_report() -> BenchReport {
         BenchReport {
             scale_name: "quick".into(),
-            env: crate::pdes::EnvMeta {
+            env: EnvMeta {
                 nproc: 4,
                 rustc: "rustc (test)".into(),
                 scale: "quick".into(),

@@ -1,7 +1,7 @@
 //! The experiment runner: one subcommand per paper table/figure.
 //!
 //! ```text
-//! repro <experiment> [--quick | --scale quick|paper] [--jobs N] [--sim-threads N] [--profile]
+//! repro <experiment> [--quick | --scale quick|paper] [--jobs N] [--profile]
 //!
 //! experiments:
 //!   graph1..graph5   RTT vs load per transport and topology
@@ -23,7 +23,6 @@
 //!   ablation-readdirplus ablation-lease
 //!   all              everything above
 //!   bench            the simulator benchmarking itself (see below)
-//!   pdes-smoke       256-client PDES determinism smoke gate
 //!   shard            N-client × M-server sharded-fleet sweep (writes
 //!                    BENCH_pr9.json and holds the LAN scaling gate)
 //!   shard-smoke      32-client M=1/M=2 fleet determinism smoke gate
@@ -32,12 +31,8 @@
 //! `--jobs N` sets the worker-thread count for the parallel job runner
 //! (default: all hardware threads). Results are byte-identical on
 //! stdout for any `--jobs` value; per-experiment wall-clock timing goes
-//! to stderr so it never perturbs the comparable output.
-//!
-//! `--sim-threads N` sets the OS-thread count driving each multi-client
-//! world's event loop (the conservative-PDES domain executor; see
-//! DESIGN.md §11). The default of 1 runs the same bounded-round
-//! protocol inline, and output is byte-identical for any value.
+//! to stderr so it never perturbs the comparable output. Each world
+//! runs on one thread's event loop; `--jobs` is the only parallelism.
 //!
 //! `--profile` prints the self-profiler's subsystem table (events,
 //! wall-clock, allocations) to stderr after the run. It needs the
@@ -48,33 +43,25 @@
 //! `BinaryHeap` baseline, and the adaptive queue, each replaying
 //! identical recorded schedules — including a 64-client crowd trace)
 //! plus a timed pass over every experiment, and writes
-//! `BENCH_pr4.json`; it then runs the PDES crowd matrix (256- and
-//! 1,024-client worlds, monolithic baseline vs 1/2/4/8 sim threads)
-//! and writes `BENCH_pr6.json` with `nproc`/rustc metadata, and the
-//! lease section (Create-Delete write-RPC recovery vs noconsist plus
-//! a lease-soak certification) into `BENCH_pr8.json`, and the sharded
-//! N×M fleet sweep into `BENCH_pr9.json`. `repro bench --check FILE`
-//! re-runs the microbenches, the PDES matrix, the lease section, and
-//! the shard gate cells, and exits nonzero if: throughput regressed
-//! more than 30% against the committed numbers; the adaptive queue
-//! trails the heap more than 5% on the shallow replay; the
-//! partitioned engine costs more than 10% at one sim thread; any
-//! thread count diverges from the monolithic state hash; (given ≥4
-//! cores) 4 sim threads fail a 2x speedup; the lease mount recovers
-//! under 60% of the noconsist write-RPC reduction on any topology;
-//! the lease soak reports a violation; the committed or fresh LAN
-//! fleet fails the M=4 ≥ 2× M=1 aggregate-throughput floor; or the
-//! shard gate cells diverge across `--sim-threads` × `--jobs`
-//! settings. A committed report missing a gated section fails loudly
-//! rather than waiving the gate. Gates that need more cores than the
-//! machine has are reported as skipped — and recorded as skipped in
-//! the JSON, so a committed report says which gates actually ran.
+//! `BENCH_pr4.json` with `nproc`/rustc metadata, the lease section
+//! (Create-Delete write-RPC recovery vs noconsist plus a lease-soak
+//! certification) into `BENCH_pr8.json`, and the sharded N×M fleet
+//! sweep into `BENCH_pr9.json`. `repro bench --check FILE` re-runs the
+//! microbenches, the lease section, and the shard gate cells, and
+//! exits nonzero if: throughput regressed more than 30% against the
+//! committed numbers; the adaptive queue trails the heap more than 5%
+//! on the shallow replay; the lease mount recovers under 60% of the
+//! noconsist write-RPC reduction on any topology; the lease soak
+//! reports a violation; the committed or fresh LAN fleet fails the
+//! M=4 ≥ 2× M=1 aggregate-throughput floor; or the shard gate cells
+//! diverge between `--jobs` 1 and 2. A committed report missing a
+//! gated section fails loudly rather than waiving the gate.
 
 use std::time::Instant;
 
 use renofs_bench::experiments::shard;
 use renofs_bench::Scale;
-use renofs_bench::{bench, lease, pdes};
+use renofs_bench::{bench, lease};
 use renofs_workload::andrew::AndrewSpec;
 
 // With the `profile` feature, count every heap allocation so the
@@ -86,9 +73,9 @@ static ALLOC: renofs_sim::profile::CountingAlloc = renofs_sim::profile::Counting
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <experiment|all|bench|pdes-smoke|shard|shard-smoke> \
+        "usage: repro <experiment|all|bench|shard|shard-smoke> \
          [--quick | --scale quick|paper] \
-         [--jobs N] [--sim-threads N] [--profile] [--out FILE] [--check FILE] [--seeds N] \
+         [--jobs N] [--profile] [--out FILE] [--check FILE] [--seeds N] \
          [--case SPEC] [--duration SECS] [--max-ops N] [--long] [--lease]"
     );
     eprintln!(
@@ -112,7 +99,6 @@ struct Options {
     what: String,
     quick: bool,
     jobs: usize,
-    sim_threads: usize,
     profile: bool,
     out: String,
     check: Option<String>,
@@ -129,7 +115,6 @@ fn parse_args() -> Options {
     let mut what = None;
     let mut quick = false;
     let mut jobs = renofs_bench::runner::default_jobs();
-    let mut sim_threads = 1;
     let mut profile = false;
     let mut out = "BENCH_pr4.json".to_string();
     let mut check = None;
@@ -155,13 +140,6 @@ fn parse_args() -> Options {
             "--jobs" => {
                 i += 1;
                 jobs = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => usage(),
-                };
-            }
-            "--sim-threads" => {
-                i += 1;
-                sim_threads = match args.get(i).and_then(|v| v.parse().ok()) {
                     Some(n) if n >= 1 => n,
                     _ => usage(),
                 };
@@ -225,7 +203,6 @@ fn parse_args() -> Options {
         what: what.unwrap_or_else(|| "all".to_string()),
         quick,
         jobs,
-        sim_threads,
         profile,
         out,
         check,
@@ -300,9 +277,6 @@ fn run_soak_mode(opts: &Options, scale: &Scale) {
     }
 }
 
-/// Where the PDES matrix lands (next to the PR 4 queue-replay report).
-const PDES_OUT: &str = "BENCH_pr6.json";
-
 /// Where the lease write-behind section lands.
 const LEASE_OUT: &str = "BENCH_pr8.json";
 
@@ -339,7 +313,6 @@ fn run_shard_mode(scale: &Scale) {
 fn run_bench_mode(opts: &Options, scale: &Scale, spec: &AndrewSpec) {
     let checking = opts.check.is_some();
     let report = bench::run_bench(scale, spec, opts.jobs, !checking);
-    let pdes_report = pdes::run_pdes_section(scale, &report.scale_name);
     let lease_report = lease::run_lease_section(scale, &report.scale_name);
     match &opts.check {
         Some(path) => {
@@ -354,17 +327,6 @@ fn run_bench_mode(opts: &Options, scale: &Scale, spec: &AndrewSpec) {
                 Ok(msg) => eprintln!("[bench] {msg}"),
                 Err(msg) => {
                     eprintln!("[bench] FAIL: {msg}");
-                    std::process::exit(1);
-                }
-            }
-            // The PDES gates judge the fresh matrix (determinism,
-            // sequential overhead, core-conditioned speedup), not a
-            // committed file: wall-clocks only compare within one
-            // machine and one run.
-            match pdes_report.check() {
-                Ok(msg) => eprintln!("[bench] pdes: {msg}"),
-                Err(msg) => {
-                    eprintln!("[bench] FAIL: pdes: {msg}");
                     std::process::exit(1);
                 }
             }
@@ -390,8 +352,7 @@ fn run_bench_mode(opts: &Options, scale: &Scale, spec: &AndrewSpec) {
             }
             // The shard gate holds the committed BENCH_pr9.json (which
             // must exist, parse, and certify the scaling floor) and a
-            // fresh run of the two LAN gate cells at two
-            // `--sim-threads` × `--jobs` settings.
+            // fresh run of the two LAN gate cells at `--jobs` 1 and 2.
             let committed_shard = match std::fs::read_to_string(SHARD_OUT) {
                 Ok(s) => s,
                 Err(e) => {
@@ -415,10 +376,6 @@ fn run_bench_mode(opts: &Options, scale: &Scale, spec: &AndrewSpec) {
                 eprintln!("[bench] cannot write {}: {e}", opts.out);
                 std::process::exit(1);
             }
-            if let Err(e) = std::fs::write(PDES_OUT, pdes_report.to_json()) {
-                eprintln!("[bench] cannot write {PDES_OUT}: {e}");
-                std::process::exit(1);
-            }
             if let Err(e) = std::fs::write(LEASE_OUT, lease_report.to_json()) {
                 eprintln!("[bench] cannot write {LEASE_OUT}: {e}");
                 std::process::exit(1);
@@ -429,16 +386,8 @@ fn run_bench_mode(opts: &Options, scale: &Scale, spec: &AndrewSpec) {
                 std::process::exit(1);
             }
             print!("{}", report.summary());
-            print!("{}", pdes_report.summary());
             print!("{}", lease_report.summary());
             print!("{}", shard_report.summary());
-            match pdes_report.check() {
-                Ok(msg) => eprintln!("[bench] pdes: {msg}"),
-                Err(msg) => {
-                    eprintln!("[bench] FAIL: pdes: {msg}");
-                    std::process::exit(1);
-                }
-            }
             match lease_report.check() {
                 Ok(msg) => eprintln!("[bench] lease: {msg}"),
                 Err(msg) => {
@@ -460,10 +409,7 @@ fn run_bench_mode(opts: &Options, scale: &Scale, spec: &AndrewSpec) {
                     std::process::exit(1);
                 }
             }
-            eprintln!(
-                "[bench] wrote {}, {PDES_OUT}, {LEASE_OUT} and {SHARD_OUT}",
-                opts.out
-            );
+            eprintln!("[bench] wrote {}, {LEASE_OUT} and {SHARD_OUT}", opts.out);
         }
     }
 }
@@ -476,7 +422,6 @@ fn main() {
         Scale::paper()
     };
     scale.jobs = opts.jobs;
-    scale.sim_threads = opts.sim_threads;
     let spec = if opts.quick {
         AndrewSpec::small()
     } else {
@@ -492,17 +437,6 @@ fn main() {
         run_bench_mode(&opts, &scale, &spec);
         if opts.profile {
             eprint!("{}", renofs_sim::profile::report());
-        }
-        return;
-    }
-
-    if opts.what == "pdes-smoke" {
-        match pdes::pdes_smoke(&scale) {
-            Ok(msg) => eprintln!("[pdes-smoke] {msg}"),
-            Err(msg) => {
-                eprintln!("[pdes-smoke] FAIL: {msg}");
-                std::process::exit(1);
-            }
         }
         return;
     }

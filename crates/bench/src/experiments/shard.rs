@@ -20,7 +20,7 @@
 //! * **qp95 ms / queued** — the *worst* shard's p95 nfsd queueing delay
 //!   and how many requests across the fleet waited for a daemon;
 //! * **hash** — an FNV-1a digest of everything the cell computed, which
-//!   must be byte-identical at any `--sim-threads` × `--jobs` level.
+//!   must be byte-identical at any `--jobs` level.
 //!
 //! The mix is metadata-only (lookup/getattr plus non-idempotent
 //! SETATTRs) so the shared LAN segment stays below saturation and the
@@ -30,9 +30,8 @@
 //! buys nothing, exactly as the paper's slow-link sections predict.
 //!
 //! Results land in `BENCH_pr9.json`; `repro bench --check` re-runs the
-//! two LAN gate cells fresh (at two `--sim-threads` × `--jobs`
-//! settings, comparing state hashes) and holds both the committed and
-//! the fresh scaling ratio.
+//! two LAN gate cells fresh (at `--jobs` 1 and 2, comparing state
+//! hashes) and holds both the committed and the fresh scaling ratio.
 
 use std::fmt;
 
@@ -42,8 +41,8 @@ use renofs_oracle::fnv1a;
 use renofs_sim::SimDuration;
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig, NhfsstoneReport};
 
+use crate::bench::EnvMeta;
 use crate::fmt::table;
-use crate::pdes::EnvMeta;
 use crate::runner::{point_seed, run_jobs, workload_seed};
 use crate::Scale;
 
@@ -129,8 +128,7 @@ pub struct ShardRow {
     /// Requests across the fleet that waited for a daemon.
     pub queued: u64,
     /// FNV-1a digest of the cell's complete result (samples,
-    /// counters, final clock): the `--sim-threads` × `--jobs`
-    /// determinism witness.
+    /// counters, final clock): the `--jobs` determinism witness.
     pub state_hash: u64,
 }
 
@@ -227,7 +225,7 @@ fn jain(rates: &[f64]) -> f64 {
 }
 
 /// Measurement window per cell: bigger worlds get shorter windows for a
-/// comparable wall-clock budget (the same shape as the PDES matrix).
+/// comparable wall-clock budget.
 fn shard_durations(scale: &Scale, clients: usize) -> (SimDuration, SimDuration) {
     let quick = scale.duration < SimDuration::from_secs(5 * 60);
     let secs = match (quick, clients >= 512) {
@@ -276,13 +274,7 @@ fn state_hash(world: &World, reports: &[NhfsstoneReport]) -> u64 {
 
 /// Runs one cell: an N-client × M-server world, every client's
 /// generator processes pinned round-robin over the shards.
-fn run_cell(
-    cell: &Cell,
-    duration: SimDuration,
-    warmup: SimDuration,
-    nfiles: usize,
-    sim_threads: usize,
-) -> ShardRow {
+fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usize) -> ShardRow {
     let mut cfg = WorldConfig::baseline();
     cfg.topology = cell.topo;
     cfg.transport = cell.transport.clone();
@@ -290,7 +282,6 @@ fn run_cell(
     cfg.clients = cell.clients;
     cfg.servers = cell.servers;
     cfg.nfsds = SHARD_NFSDS;
-    cfg.sim_threads = sim_threads;
     cfg.server.dup_cache = true;
     cfg.seed = point_seed(SHARD_BASE, cell.idx, 0);
     let mut world = World::new(cfg);
@@ -470,7 +461,7 @@ pub fn run_shard_section(scale: &Scale, scale_name: &str) -> ShardReport {
     let nfiles = scale.nfiles;
     let rows = run_jobs(&cells, scale.jobs, |cell| {
         let (duration, warmup) = shard_durations(scale, cell.clients);
-        run_cell(cell, duration, warmup, nfiles, scale.sim_threads)
+        run_cell(cell, duration, warmup, nfiles)
     });
     ShardReport {
         env: EnvMeta::detect(scale_name),
@@ -644,22 +635,23 @@ pub(crate) fn committed_gate(json: &str) -> Result<(f64, f64), String> {
 
 /// Runs the two LAN gate cells (with their sweep positions, so seeds
 /// and durations match the committed sweep exactly) at an explicit
-/// `--sim-threads` × `--jobs` setting.
-fn run_gate_cells(scale: &Scale, sim_threads: usize, jobs: usize) -> Vec<ShardRow> {
+/// `--jobs` setting.
+fn run_gate_cells(scale: &Scale, jobs: usize) -> Vec<ShardRow> {
     let quick = scale.duration < SimDuration::from_secs(5 * 60);
     let gate_cells: Vec<Cell> = cells(quick).into_iter().filter(is_gate_cell).collect();
     let nfiles = scale.nfiles;
     run_jobs(&gate_cells, jobs, |cell| {
         let (duration, warmup) = shard_durations(scale, cell.clients);
-        run_cell(cell, duration, warmup, nfiles, sim_threads)
+        run_cell(cell, duration, warmup, nfiles)
     })
 }
 
-/// Re-runs the gate cells at a different `--sim-threads` × `--jobs`
-/// setting and insists their state hashes match the sweep's rows: the
+/// Re-runs the gate cells at a different `--jobs` setting (1 and 2
+/// swap) and insists their state hashes match the sweep's rows: the
 /// fleet engine's determinism contract, held on every bench run.
 pub fn determinism_probe(scale: &Scale, report: &ShardReport) -> Result<String, String> {
-    let probe = run_gate_cells(scale, scale.sim_threads + 1, 2);
+    let probe_jobs = if scale.jobs == 1 { 2 } else { 1 };
+    let probe = run_gate_cells(scale, probe_jobs);
     for p in &probe {
         let swept = report
             .rows
@@ -676,26 +668,20 @@ pub fn determinism_probe(scale: &Scale, report: &ShardReport) -> Result<String, 
             ))?;
         if p.state_hash != swept.state_hash {
             return Err(format!(
-                "determinism: N={} M={} hash {:#018x} at sim-threads={} jobs=2 \
-                 != sweep's {:#018x} at sim-threads={}",
-                p.clients,
-                p.servers,
-                p.state_hash,
-                scale.sim_threads + 1,
-                swept.state_hash,
-                scale.sim_threads
+                "determinism: N={} M={} hash {:#018x} at jobs={probe_jobs} \
+                 != sweep's {:#018x} at jobs={}",
+                p.clients, p.servers, p.state_hash, swept.state_hash, scale.jobs
             ));
         }
     }
     Ok(format!(
-        "gate cells byte-identical across sim-threads {}×{} and jobs 1×2",
-        scale.sim_threads,
-        scale.sim_threads + 1
+        "gate cells byte-identical across jobs {}×{probe_jobs}",
+        scale.jobs
     ))
 }
 
 /// The `repro bench --check` shard gate: re-runs the two LAN gate cells
-/// fresh at two `--sim-threads` × `--jobs` settings and holds (a) the
+/// fresh at `--jobs` 1 and 2 and holds (a) the
 /// committed report's ratio, (b) the fresh ratio, (c) fresh M=4
 /// throughput against the committed number within
 /// [`crate::bench::CHECK_TOLERANCE`], and (d) hash equality between the
@@ -708,13 +694,13 @@ pub fn check_against(committed: &str, scale: &Scale) -> Result<String, String> {
              (< {SHARD_SCALING_FLOOR:.1}x floor)"
         ));
     }
-    let rows1 = run_gate_cells(scale, scale.sim_threads, 1);
-    let rows2 = run_gate_cells(scale, scale.sim_threads + 1, 2);
+    let rows1 = run_gate_cells(scale, 1);
+    let rows2 = run_gate_cells(scale, 2);
     for (a, b) in rows1.iter().zip(&rows2) {
         if a.state_hash != b.state_hash {
             return Err(format!(
-                "determinism: N={} M={} hashes diverge across sim-threads/jobs \
-                 settings: {:#018x} vs {:#018x}",
+                "determinism: N={} M={} hashes diverge across jobs 1/2: \
+                 {:#018x} vs {:#018x}",
                 a.clients, a.servers, a.state_hash, b.state_hash
             ));
         }
@@ -746,14 +732,14 @@ pub fn check_against(committed: &str, scale: &Scale) -> Result<String, String> {
     Ok(format!(
         "fresh LAN fleet scaling {ratio:.2}x (committed {c_ratio:.2}x), M=4 at \
          {:.1} op/s vs committed {c_m4:.1}, gate cells byte-identical across \
-         sim-threads/jobs",
+         jobs 1/2",
         m4.agg_ops_per_sec
     ))
 }
 
 /// The `repro shard-smoke` gate: a small two-cell fleet matrix (M=1 and
-/// M=2, 32 clients) run at `--sim-threads 1 --jobs 1` and then at
-/// `--sim-threads 2 --jobs 2`, asserting byte-identical state hashes
+/// M=2, 32 clients) run at `--jobs 1` and then at `--jobs 2`,
+/// asserting byte-identical state hashes
 /// and that the M=2 fleet actually routed work to both shards. Cheap
 /// enough for `scripts/check.sh`.
 pub fn shard_smoke(scale: &Scale) -> Result<String, String> {
@@ -773,18 +759,18 @@ pub fn shard_smoke(scale: &Scale) -> Result<String, String> {
             idx: 9_000 + i,
         })
         .collect();
-    let run = |sim_threads: usize, jobs: usize| {
+    let run = |jobs: usize| {
         run_jobs(&smoke_cells, jobs, |cell| {
-            run_cell(cell, duration, warmup, 20, sim_threads)
+            run_cell(cell, duration, warmup, 20)
         })
     };
-    let a = run(1, 1);
-    let b = run(2, 2);
+    let a = run(1);
+    let b = run(2);
     for (x, y) in a.iter().zip(&b) {
         if x.state_hash != y.state_hash {
             return Err(format!(
-                "smoke hashes diverge at M={}: {:#018x} (st=1, jobs=1) vs \
-                 {:#018x} (st=2, jobs=2)",
+                "smoke hashes diverge at M={}: {:#018x} (jobs=1) vs \
+                 {:#018x} (jobs=2)",
                 x.servers, x.state_hash, y.state_hash
             ));
         }
@@ -794,7 +780,7 @@ pub fn shard_smoke(scale: &Scale) -> Result<String, String> {
         return Err("smoke M=2 fleet left a shard idle".to_string());
     }
     Ok(format!(
-        "32-client M=1/M=2 smoke agrees across sim-threads × jobs \
+        "32-client M=1/M=2 smoke agrees across jobs 1×2 \
          ({:#018x}, {:#018x}); M=2 shards at {:.1}/{:.1} op/s",
         a[0].state_hash, a[1].state_hash, fleet.shard_rates[0], fleet.shard_rates[1]
     ))
@@ -875,7 +861,7 @@ mod tests {
     }
 
     /// A miniature fleet cell: work reaches every shard, shards stay
-    /// balanced, and the hash is identical across sim-thread counts.
+    /// balanced, and a rerun reproduces the hash.
     #[test]
     fn small_fleet_cell_routes_shards_deterministically() {
         let cell = Cell {
@@ -890,7 +876,7 @@ mod tests {
         };
         let d = SimDuration::from_secs(8);
         let w = SimDuration::from_secs(2);
-        let one = run_cell(&cell, d, w, 20, 1);
+        let one = run_cell(&cell, d, w, 20);
         assert_eq!(one.shard_rates.len(), 2);
         assert!(
             one.shard_rates.iter().all(|&r| r > 0.0),
@@ -898,10 +884,10 @@ mod tests {
         );
         assert!(one.fairness > 0.7, "balanced pinning: {one:?}");
         assert!(one.agg_ops_per_sec > 8.0, "{one:?}");
-        let two = run_cell(&cell, d, w, 20, 2);
+        let two = run_cell(&cell, d, w, 20);
         assert_eq!(
             one.state_hash, two.state_hash,
-            "fleet cells must be byte-identical at any sim-thread count"
+            "fleet cells must be byte-identical across reruns"
         );
     }
 
@@ -921,8 +907,8 @@ mod tests {
         };
         let d = SimDuration::from_secs(8);
         let w = SimDuration::from_secs(2);
-        let m1 = run_cell(&mk(1, 7_800), d, w, 20, 1);
-        let m4 = run_cell(&mk(4, 7_801), d, w, 20, 1);
+        let m1 = run_cell(&mk(1, 7_800), d, w, 20);
+        let m4 = run_cell(&mk(4, 7_801), d, w, 20);
         assert!(
             m4.agg_ops_per_sec > 1.5 * m1.agg_ops_per_sec,
             "4 servers must outrun 1 saturated pool: {:.1} vs {:.1}",

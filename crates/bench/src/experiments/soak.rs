@@ -727,8 +727,6 @@ pub struct CaseOutcome {
 /// Knobs for [`run_case_opts`].
 #[derive(Clone, Copy, Debug)]
 pub struct RunOpts {
-    /// PDES simulation threads for the world.
-    pub sim_threads: usize,
     /// Also capture the full observation log (defeats the memory
     /// bound; differential tests only).
     pub capture: bool,
@@ -741,7 +739,6 @@ pub struct RunOpts {
 impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
-            sim_threads: 1,
             capture: false,
             stream: StreamConfig::for_soak(GRACE_NS),
         }
@@ -922,25 +919,6 @@ pub fn run_case(case: &SoakCase, mutation: Mutation) -> CaseOutcome {
     run_case_opts(case, mutation, &RunOpts::default())
 }
 
-/// [`run_case`] with an explicit simulation-thread count. Chaos worlds
-/// whose fault roster is crash-only still carve into per-client domains,
-/// so the soak doubles as a PDES determinism surface: the outcome must
-/// be byte-identical at any `sim_threads`.
-pub fn run_case_with_threads(
-    case: &SoakCase,
-    mutation: Mutation,
-    sim_threads: usize,
-) -> CaseOutcome {
-    run_case_opts(
-        case,
-        mutation,
-        &RunOpts {
-            sim_threads,
-            ..RunOpts::default()
-        },
-    )
-}
-
 /// [`run_case`] with full knobs. The consistency check is *streaming*:
 /// clients feed a shared [`StreamingOracle`] as each operation
 /// completes, so checker memory is bounded by the staleness window, not
@@ -969,7 +947,6 @@ pub fn run_case_opts(case: &SoakCase, mutation: Mutation, opts: &RunOpts) -> Cas
     cfg.server.leases = lease;
     cfg.server.lease_no_reboot_grace = mutation == Mutation::NoRebootGrace;
     cfg.faults = plan;
-    cfg.sim_threads = opts.sim_threads;
     cfg.mount = if derived.soft {
         MountOptions::soft(3)
     } else {
@@ -1744,7 +1721,7 @@ pub fn soak_profile_with(
     let rows = run_jobs(&seeds, scale.jobs, |&seed| {
         let case = SoakCase::from_seed_profile(seed, profile);
         let d = derive_world_for(seed, profile);
-        let outcome = run_case_with_threads(&case, mutation, scale.sim_threads);
+        let outcome = run_case(&case, mutation);
         SoakRow {
             seed,
             clients: d.clients,
@@ -2033,15 +2010,11 @@ pub fn soak_budget(scale: &Scale, opts: &BudgetOpts) -> BudgetReport {
         let end = (next_seed + jobs as u64).min(opts.max_seeds as u64);
         let batch: Vec<u64> = (next_seed..end).collect();
         next_seed = end;
-        let run_opts = RunOpts {
-            sim_threads: scale.sim_threads,
-            ..RunOpts::default()
-        };
         let profile = opts.profile;
         let outs = run_jobs(&batch, jobs, |&seed| {
             let case = SoakCase::from_seed_profile(seed, profile);
             let t0 = Instant::now();
-            let out = run_case_opts(&case, Mutation::None, &run_opts);
+            let out = run_case(&case, Mutation::None);
             (seed, out, t0.elapsed().as_secs_f64())
         });
         for (seed, out, wall) in outs {
@@ -2147,6 +2120,32 @@ mod tests {
                 assert!(w.at_ms >= SETUP * 1000, "{w:?}");
             }
         }
+    }
+
+    /// Seed 157 shrunk: client 2 creates `/c2/f1`, its only write and
+    /// close time out across a server crash, and two readers then find
+    /// the file empty. The freshly created state is a legal version, so
+    /// the oracle must stay quiet.
+    #[test]
+    fn empty_read_after_an_indeterminate_first_write_is_clean() {
+        let case = SoakCase::parse("seed=157,clients=3,rounds=1,windows=1").unwrap();
+        let out = run_case_opts(
+            &case,
+            Mutation::None,
+            &RunOpts {
+                capture: true,
+                ..RunOpts::default()
+            },
+        );
+        let log = out.full_log.expect("captured log");
+        let has = |pred: &dyn Fn(&ObsKind) -> bool| log.iter().any(|o| pred(&o.kind));
+        assert!(has(
+            &|k| matches!(k, ObsKind::Committed { path, certain: false, .. }
+            if path == "/c2/f1")
+        ));
+        assert!(has(&|k| matches!(k, ObsKind::Observed { path, len: 0, .. }
+            if path == "/c2/f1")));
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!    mode that recovered the RPCs by quietly serving stale cache
 //!    would fail here, not pass with an asterisk.
 
+use crate::bench::EnvMeta;
 use crate::bench::{find_number, find_number2};
 use crate::experiments::{ablations, soak};
-use crate::pdes::EnvMeta;
 use crate::Scale;
 
 /// The lease mount must recover at least this fraction of the

@@ -11,7 +11,6 @@ pub mod bench;
 pub mod experiments;
 pub mod fmt;
 pub mod lease;
-pub mod pdes;
 pub mod runner;
 
 pub use experiments::scale::Scale;

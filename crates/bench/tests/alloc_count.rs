@@ -13,6 +13,8 @@
 //! --features profile --test alloc_count`.
 #![cfg(feature = "profile")]
 
+use std::sync::{Mutex, MutexGuard};
+
 use renofs::{TopologyKind, TransportKind, World, WorldConfig};
 use renofs_bench::experiments::world_for;
 use renofs_netsim::topology::presets::Background;
@@ -21,6 +23,16 @@ use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
 
 #[global_allocator]
 static ALLOC: profile::CountingAlloc = profile::CountingAlloc;
+
+/// The allocation counter is process-wide, so tests that run on
+/// parallel test threads would count each other's allocations; each
+/// test holds this lock for its whole measurement.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the counter is still valid.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Runs a pure-read LAN workload for `secs` simulated seconds and
 /// returns (heap allocations during the run, RPCs completed).
@@ -55,6 +67,7 @@ fn run_reads(secs: u64) -> (u64, u64) {
 
 #[test]
 fn steady_state_lan_read_rpcs_allocate_next_to_nothing() {
+    let _serial = serial();
     // First run warms the thread-local cluster/small-mbuf pools and
     // takes the one-time lazy-init allocations.
     let (_, _) = run_reads(10);
@@ -82,10 +95,8 @@ fn steady_state_lan_read_rpcs_allocate_next_to_nothing() {
 }
 
 /// Runs `mix` with 16 clients against a 4-daemon nfsd pool for `secs`
-/// simulated seconds and returns (allocations, RPCs completed). The
-/// world carves (quiet background, UDP), so this binds the partitioned
-/// engine's allocation discipline at `sim_threads` OS threads.
-fn run_crowd_16_threads(secs: u64, mix: LoadMix, sim_threads: usize) -> (u64, u64) {
+/// simulated seconds and returns (allocations, RPCs completed).
+fn run_crowd_16(secs: u64, mix: LoadMix) -> (u64, u64) {
     let mut cfg = WorldConfig::baseline();
     cfg.topology = TopologyKind::SameLan;
     cfg.transport = TransportKind::UdpDynamic {
@@ -96,12 +107,7 @@ fn run_crowd_16_threads(secs: u64, mix: LoadMix, sim_threads: usize) -> (u64, u6
     cfg.nfsds = 4;
     cfg.seed = 0xA11C;
     cfg.server.dup_cache = true;
-    cfg.sim_threads = sim_threads;
     let mut world = World::new(cfg);
-    assert!(
-        world.is_partitioned(),
-        "the crowd budget binds the PDES engine"
-    );
     let mut wcfg = NhfsstoneConfig::paper(4.0, mix);
     wcfg.procs = 2;
     wcfg.duration = SimDuration::from_secs(secs);
@@ -118,27 +124,23 @@ fn run_crowd_16_threads(secs: u64, mix: LoadMix, sim_threads: usize) -> (u64, u6
 
 /// The marginal allocations per RPC of the extra simulated seconds,
 /// long run minus short run (same method as the single-client test).
-fn marginal_crowd_threads(mix: LoadMix, sim_threads: usize) -> f64 {
-    let (_, _) = run_crowd_16_threads(6, mix, sim_threads);
-    let (a_short, r_short) = run_crowd_16_threads(10, mix, sim_threads);
-    let (a_long, r_long) = run_crowd_16_threads(30, mix, sim_threads);
+fn marginal_crowd(mix: LoadMix) -> f64 {
+    let (_, _) = run_crowd_16(6, mix);
+    let (a_short, r_short) = run_crowd_16(10, mix);
+    let (a_long, r_long) = run_crowd_16(30, mix);
     let extra_rpcs = r_long - r_short;
     assert!(
         extra_rpcs > 500,
         "need a meaningful RPC delta: {extra_rpcs}"
     );
     let marginal = a_long.saturating_sub(a_short) as f64 / extra_rpcs as f64;
-    eprintln!("marginal allocs/RPC at sim_threads={sim_threads}: {marginal:.3}");
+    eprintln!("marginal allocs/RPC at 16 clients: {marginal:.3}");
     marginal
-}
-
-/// [`marginal_crowd_threads`] at the default one sim thread.
-fn marginal_crowd(mix: LoadMix) -> f64 {
-    marginal_crowd_threads(mix, 1)
 }
 
 #[test]
 fn steady_state_read_rpcs_at_16_clients_allocate_next_to_nothing() {
+    let _serial = serial();
     // The single-client budget, re-enforced at 16 clients sharing one
     // nfsd pool: per-client transports, the request queue, and 32
     // workload threads all dropping reply chains back into the mbuf
@@ -163,6 +165,7 @@ fn steady_state_read_rpcs_at_16_clients_allocate_next_to_nothing() {
 
 #[test]
 fn steady_state_crowd_mix_at_16_clients_stays_within_its_op_costs() {
+    let _serial = serial();
     // The full crowd mix carries allocations the ops themselves own,
     // identical at N=1 and so not scale-out costs: every lookup decodes
     // its name into a fresh `String` on the server, and every setattr
@@ -174,34 +177,6 @@ fn steady_state_crowd_mix_at_16_clients_stays_within_its_op_costs() {
     assert!(
         marginal < 2.0,
         "crowd-mix RPCs at 16 clients allocate too much: \
-         {marginal:.2} allocs/RPC"
-    );
-}
-
-#[test]
-fn crowd_budget_survives_a_second_sim_thread() {
-    // The same crowd world on two OS threads: each conservative round
-    // now ships its jobs to a worker over a channel (a Go order, the
-    // job list, a Done report) and reply chains drop back into mbuf
-    // pools from the *worker* thread, so its frees must spill to the
-    // shared tier rather than strand in worker-local caches — stranding
-    // shows up here as the simulation side allocating fresh clusters
-    // every round. The round-protocol messages legitimately cost a few
-    // allocations each, so the budget is looser than the inline bound
-    // (measured ~29 allocs/RPC, the bound is ~2× that); what it guards
-    // is the order of magnitude: a stranded pool or a per-round
-    // O(clients) buffer regression blows past it immediately.
-    let mix = LoadMix {
-        lookup: 0,
-        read: 100,
-        getattr: 0,
-        setattr: 0,
-        write: 0,
-    };
-    let marginal = marginal_crowd_threads(mix, 2);
-    assert!(
-        marginal < 60.0,
-        "read RPCs at 16 clients on 2 sim threads allocate too much: \
          {marginal:.2} allocs/RPC"
     );
 }

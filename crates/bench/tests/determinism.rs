@@ -111,3 +111,30 @@ fn table5_is_byte_identical_across_worker_counts() {
     let parallel = cd::table5(&scale).to_string();
     assert_eq!(serial, parallel);
 }
+
+#[test]
+fn lease_soak_is_byte_identical_across_worker_counts() {
+    // Lease worlds add client-side state (the lease map, the recall
+    // queue, retry sleeps) whose iteration order must stay
+    // deterministic for the rendered report — lease-traffic columns
+    // included — to survive any worker count.
+    let mut scale = Scale::quick();
+    scale.jobs = 1;
+    let render = |scale: &Scale| {
+        soak::soak_profile_with(scale, 0, 2, soak::Mutation::None, soak::SoakProfile::Lease)
+            .to_string()
+    };
+    let serial = render(&scale);
+    assert!(
+        serial.contains("recall"),
+        "lease report must carry lease columns: {serial}"
+    );
+    for jobs in [2, 4] {
+        scale.jobs = jobs;
+        assert_eq!(
+            serial,
+            render(&scale),
+            "lease soak output diverged between jobs=1 and jobs={jobs}"
+        );
+    }
+}

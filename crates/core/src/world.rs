@@ -9,8 +9,11 @@
 //! only while the event loop waits for its next request.
 //!
 //! Every CPU microsecond, disk seek, wire serialization, IP fragment and
-//! retransmission flows through this loop, which is what lets the bench
-//! harnesses reproduce the paper's graphs.
+//! retransmission flows through one event queue and one set of event
+//! handlers, whatever the world's size, transport or fault plan. That
+//! single loop is what lets the bench harnesses reproduce the paper's
+//! graphs; worlds run in parallel only across experiment cells
+//! (`--jobs`), never inside one world.
 //!
 //! # Clients
 //!
@@ -40,10 +43,7 @@
 //! client keeps one transport *per server* — independent XID streams
 //! and RTO state per (client, server) pair — and addresses RPCs with
 //! [`Syscalls::rpc_to`]. An M = 1 world is byte-identical to the
-//! pre-shard single-server world. Under PDES the whole fleet lives in
-//! the hub domain (the servers share the trunk, so they share the
-//! coordinator's queue); the carve must be legal toward every server
-//! and publishes the minimum lookahead over shards.
+//! pre-shard single-server world.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -52,13 +52,12 @@ use std::thread::JoinHandle;
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_netsim::topology::presets::{self, Background};
 use renofs_netsim::{
-    AccessNet, Datagram, Delivery, FaultPlan, NetEvent, NetOutput, NetStats, Network, NodeId,
-    ProtoHeader, IP_HEADER, TCP_HEADER,
+    Datagram, Delivery, FaultPlan, NetEvent, NetOutput, NetStats, Network, NodeId, ProtoHeader,
+    IP_HEADER, TCP_HEADER,
 };
 use renofs_sim::cpu::CpuCategory;
-use renofs_sim::pdes::DomainQ;
 use renofs_sim::stats::Running;
-use renofs_sim::{profile, SimDuration, SimTime};
+use renofs_sim::{profile, AdaptiveQueue, SimDuration, SimTime};
 use renofs_sunrpc::{frame_record, peek_xid_kind, MsgKind, RecordReader, NFS_PORT};
 use renofs_transport::{TcpConfig, TcpConn, UdpAction, UdpRpcClient, UdpRpcConfig, UdpStats};
 
@@ -201,16 +200,11 @@ pub struct WorldConfig {
     pub faults: FaultPlan,
     /// Hard/soft mount semantics for the UDP transports.
     pub mount: MountOptions,
-    /// OS threads driving the simulation itself. 1 (the default) runs the
-    /// event loop on the calling thread; N > 1 spreads the client domains
-    /// of a partitioned world over N − 1 workers plus the coordinator.
-    /// Results are byte-identical at every value: both modes execute the
-    /// same conservative rounds in the same per-domain order.
+    /// Read by nothing: every world runs on the calling thread's single
+    /// event loop. The field survives only because the benchmark under
+    /// `perfbench/` still assigns it, and that package changes only with
+    /// the benchmark itself; it is removed at the next benchmark change.
     pub sim_threads: usize,
-    /// Refuses the per-machine domain partition even when it is legal,
-    /// keeping the single global event queue (trace recorders and A/B
-    /// overhead baselines use this).
-    pub force_monolithic: bool,
 }
 
 impl WorldConfig {
@@ -234,7 +228,6 @@ impl WorldConfig {
             faults: FaultPlan::new(),
             mount: MountOptions::hard(),
             sim_threads: 1,
-            force_monolithic: false,
         }
     }
 }
@@ -318,13 +311,6 @@ enum Ev {
     /// Fault plan: a server finishes rebooting.
     ServerReboot {
         server: usize,
-    },
-    /// A console note whose time is known at construction (crash/reboot
-    /// observations). Partitioned worlds pre-schedule these in each client
-    /// domain so the hub's crash handler never has to reach into client
-    /// state; monolithic worlds never schedule them.
-    Note {
-        kind: ClientEventKind,
     },
 }
 
@@ -507,16 +493,6 @@ impl Syscalls for WorldSys {
     }
 }
 
-/// Immutable per-client addressing facts the server domain needs to build
-/// replies (node, port, per-server path MTU) without touching
-/// client-owned state.
-#[derive(Clone)]
-struct ClientMeta {
-    node: NodeId,
-    sport: u16,
-    mtus: Vec<usize>,
-}
-
 /// One shard's server machine: node, host model, NFS server instance
 /// (its own dup cache and boot epoch), crash state, and nfsd service
 /// pool. Index 0 is "the" server of the single-server experiments.
@@ -530,12 +506,9 @@ struct ServerRt {
     nfsd_stats: NfsdStats,
 }
 
-/// The server-side simulation domain: the shared internetwork (minus
-/// any carved client access links) and every server machine of the
-/// fleet. In a partitioned world this is everything domain 0 owns (the
-/// shards share the trunk, so they share the coordinator's queue); a
-/// monolithic world keeps the same struct and simply runs every event
-/// against it from the single global queue.
+/// The server side of the world: the shared internetwork and every
+/// server machine of the fleet, plus the buffers the network path
+/// reuses.
 struct Hub {
     net: Network,
     servers: Vec<ServerRt>,
@@ -543,68 +516,20 @@ struct Hub {
     node_client: Vec<Option<usize>>,
     /// Node index -> server index, same.
     node_server: Vec<Option<usize>>,
-    metas: Vec<ClientMeta>,
-    /// nfsd daemon contexts per server (0 = unbounded).
-    nfsds: usize,
     scratch: CopyMeter,
     /// Reusable network-step output: drained after every absorb, so the
     /// per-hop path allocates nothing once the vectors reach working size.
     net_out: NetOutput,
 }
 
-/// One client machine's simulation-domain runtime: its carved access
-/// network, boundary lookaheads, private scheduler (workload threads,
-/// request channel, ready FIFO, ticket table) and reusable buffers.
-/// Only partitioned worlds build these.
-struct ClientDom {
-    access: AccessNet,
-    /// Client→hub conservative lookahead (uplink propagation delay).
-    la_up: SimDuration,
-    /// Hub→client conservative lookahead (final-link propagation delay).
-    la_dn: SimDuration,
-    /// Every shard's server node, indexed by server (Send addressing and
-    /// reply demultiplexing inside the client domain).
-    server_nodes: Vec<NodeId>,
-    biods: usize,
-    // Per-client scheduler. Thread ids, ticket numbers and datagram ids
-    // are all domain-local; workloads treat every one of them as opaque.
-    req_tx: Sender<(usize, Req)>,
-    req_rx: Receiver<(usize, Req)>,
-    resp_txs: Vec<Sender<Resp>>,
-    ready: VecDeque<(usize, Resp)>,
-    live: usize,
-    tickets_done: HashMap<u64, RpcResult>,
-    ticket_waiters: HashMap<u64, usize>,
-    forgotten: HashSet<u64>,
-    next_ticket: u64,
-    /// Event time of this domain's most recent thread finish.
-    last_finish: SimTime,
-    udp_actions: Vec<UdpAction>,
-    net_out: NetOutput,
-}
-
-/// Partitioned-world state: the per-client domains and the finish clock.
-struct Partition {
-    cdoms: Vec<ClientDom>,
-    /// Max event time at which any workload thread finished — what the
-    /// monolithic engine's clock reads when `run` returns.
-    finish: SimTime,
-}
-
 /// The simulation world.
 pub struct World {
     cfg: WorldConfig,
-    /// Per-domain event queues. `doms[0]` is the hub (server) domain; a
-    /// monolithic world has only that entry and its plain-counter keys
-    /// reproduce the historical single-queue order exactly. Partitioned
-    /// worlds add one domain per client at `1 + client index`.
-    doms: Vec<DomainQ<Ev>>,
+    /// The one pending-event set every machine of the world shares.
+    queue: AdaptiveQueue<Ev>,
     hub: Hub,
     clients: Vec<ClientRt>,
-    /// Per-client domains when the world is partitioned.
-    part: Option<Partition>,
-    // RPC bookkeeping (tickets are unique world-wide). Monolithic mode
-    // only; partitioned worlds keep these per client domain.
+    // RPC bookkeeping (tickets are unique world-wide).
     tickets_done: HashMap<u64, RpcResult>,
     ticket_waiters: HashMap<u64, usize>,
     forgotten: HashSet<u64>,
@@ -619,7 +544,7 @@ pub struct World {
     ready: VecDeque<(usize, Resp)>,
     started: bool,
     /// Reusable UDP-transport action buffer, drained after every
-    /// transport step (monolithic mode; client domains carry their own).
+    /// transport step.
     udp_actions: Vec<UdpAction>,
 }
 
@@ -637,9 +562,7 @@ pub struct WorldScratch {
 impl WorldScratch {
     /// Folds a finished world's high-water marks into the hints.
     pub fn observe(&mut self, world: &World) {
-        for dq in &world.doms {
-            self.queue_cap = self.queue_cap.max(dq.peak_depth());
-        }
+        self.queue_cap = self.queue_cap.max(world.queue.peak_depth());
         self.net_events_cap = self.net_events_cap.max(world.hub.net_out.events.capacity());
     }
 }
@@ -758,59 +681,6 @@ impl World {
                 }
             })
             .collect();
-        let metas = clients
-            .iter()
-            .map(|c| ClientMeta {
-                node: c.node,
-                sport: c.sport,
-                mtus: c.mtus.clone(),
-            })
-            .collect();
-        // Per-machine domain partition: legal only when every client's
-        // access network carves cleanly toward every server (draw-free
-        // uplink, corruption-free reply paths) so the hub RNG stream is
-        // untouched, there are at least two clients to separate, and the
-        // transport is UDP (a TCP connection's two endpoints share one
-        // congestion state, which cannot be split across domains).
-        let carves =
-            if !cfg.force_monolithic && n >= 2 && !matches!(cfg.transport, TransportKind::Tcp) {
-                client_nodes
-                    .iter()
-                    .map(|&c| net.carve_access_multi(c, &server_nodes))
-                    .collect::<Option<Vec<_>>>()
-            } else {
-                None
-            };
-        let mut doms = vec![DomainQ::with_capacity(0, scratch.queue_cap)];
-        let part = carves.map(|carves| Partition {
-            cdoms: carves
-                .into_iter()
-                .map(|carve| {
-                    doms.push(DomainQ::new(doms.len() as u32));
-                    let (req_tx, req_rx) = channel();
-                    ClientDom {
-                        access: carve.access,
-                        la_up: carve.lookahead_up,
-                        la_dn: carve.lookahead_down,
-                        server_nodes: server_nodes.clone(),
-                        biods: cfg.biods,
-                        req_tx,
-                        req_rx,
-                        resp_txs: Vec::new(),
-                        ready: VecDeque::new(),
-                        live: 0,
-                        tickets_done: HashMap::new(),
-                        ticket_waiters: HashMap::new(),
-                        forgotten: HashSet::new(),
-                        next_ticket: 1,
-                        last_finish: SimTime::ZERO,
-                        udp_actions: Vec::new(),
-                        net_out: NetOutput::default(),
-                    }
-                })
-                .collect(),
-            finish: SimTime::ZERO,
-        });
         let (req_tx, req_rx) = channel();
         let mut world = World {
             hub: Hub {
@@ -818,8 +688,6 @@ impl World {
                 servers,
                 node_client,
                 node_server,
-                metas,
-                nfsds: cfg.nfsds,
                 scratch: CopyMeter::new(),
                 net_out: NetOutput {
                     events: Vec::with_capacity(scratch.net_events_cap),
@@ -827,9 +695,8 @@ impl World {
                 },
             },
             cfg,
-            doms,
+            queue: AdaptiveQueue::with_capacity(scratch.queue_cap),
             clients,
-            part,
             tickets_done: HashMap::new(),
             ticket_waiters: HashMap::new(),
             forgotten: HashSet::new(),
@@ -846,32 +713,13 @@ impl World {
         // Fault-plan crashes hit server 0 (the paper's box; sharded
         // worlds crash their primary shard).
         for (at, downtime) in world.cfg.faults.server_crashes() {
-            world.doms[0].push(
+            world.queue.push(
                 at,
                 Ev::ServerCrash {
                     server: 0,
                     downtime,
                 },
             );
-            if world.part.is_some() {
-                // Console notes have statically known times; scheduling
-                // them per client domain keeps the hub's crash handler
-                // domain-local.
-                for dq in &mut world.doms[1..] {
-                    dq.push(
-                        at,
-                        Ev::Note {
-                            kind: ClientEventKind::ServerCrashed,
-                        },
-                    );
-                    dq.push(
-                        at + downtime,
-                        Ev::Note {
-                            kind: ClientEventKind::ServerRebooted,
-                        },
-                    );
-                }
-            }
         }
         if matches!(world.cfg.transport, TransportKind::Tcp) {
             for ci in 0..world.clients.len() {
@@ -883,22 +731,16 @@ impl World {
         world
     }
 
-    /// Whether this world runs as per-machine domains under conservative
-    /// synchronization (true) or as one global event queue (false).
-    pub fn is_partitioned(&self) -> bool {
-        self.part.is_some()
-    }
-
     fn tcp_connect(&mut self, ci: usize, sj: usize) {
         let mss = match &self.clients[ci].transports[sj] {
             Transport::Tcp(t) => t.mss,
             _ => unreachable!(),
         };
-        let (conn, out) = TcpConn::client(TcpConfig::for_mss(mss), 11_000, self.doms[0].clock());
+        let (conn, out) = TcpConn::client(TcpConfig::for_mss(mss), 11_000, self.queue.now());
         if let Transport::Tcp(t) = &mut self.clients[ci].transports[sj] {
             t.client = conn;
         }
-        self.apply_tcp_out(ci, sj, out, true, self.doms[0].clock());
+        self.apply_tcp_out(ci, sj, out, true, self.queue.now());
         // Pump the event loop until established.
         for _ in 0..10_000 {
             let established = match &self.clients[ci].transports[sj] {
@@ -908,8 +750,8 @@ impl World {
             if established {
                 return;
             }
-            match self.doms[0].pop() {
-                Some((t, _, ev)) => self.handle_event(t, ev),
+            match self.queue.pop() {
+                Some((t, ev)) => self.handle_event(t, ev),
                 None => break,
             }
         }
@@ -943,19 +785,17 @@ impl World {
 
     /// Lifetime queue counters: `(events popped, peak pending depth)`.
     pub fn queue_stats(&self) -> (u64, usize) {
-        let pops = self.doms.iter().map(|d| d.pops()).sum();
-        let peak = self.doms.iter().map(|d| d.peak_depth()).max().unwrap_or(0);
-        (pops, peak)
+        (self.queue.pops(), self.queue.peak_depth())
     }
 
     /// Starts recording event-queue operations (for replay benchmarks).
     pub fn start_queue_trace(&mut self) {
-        self.doms[0].start_trace();
+        self.queue.start_trace();
     }
 
     /// Stops recording and returns the queue operation stream.
     pub fn take_queue_trace(&mut self) -> Vec<renofs_sim::queue::QueueOp> {
-        self.doms[0].take_trace()
+        self.queue.take_trace()
     }
 
     /// Read access to server 0.
@@ -1003,16 +843,9 @@ impl World {
         &self.clients[ci].host
     }
 
-    /// Network statistics. A partitioned world folds each client domain's
-    /// access-network shard into the hub's totals.
+    /// Network statistics.
     pub fn net_stats(&self) -> NetStats {
-        let mut s = self.hub.net.stats();
-        if let Some(p) = &self.part {
-            for cd in &p.cdoms {
-                s.absorb(&cd.access.stats());
-            }
-        }
-        s
+        self.hub.net.stats()
     }
 
     /// Client 0's UDP transport statistics, if the mount uses UDP.
@@ -1077,14 +910,9 @@ impl World {
         }
     }
 
-    /// Current virtual time. For a partitioned world after `run`, this is
-    /// the event time of the last workload-thread finish — the same
-    /// instant the monolithic engine's clock stops at.
+    /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        match &self.part {
-            Some(p) => p.finish,
-            None => self.doms[0].clock(),
-        }
+        self.queue.now()
     }
 
     /// Client 0's timestamped console-event log (`server not
@@ -1125,18 +953,9 @@ impl World {
         F: FnOnce(&mut WorldSys) + Send + 'static,
     {
         assert!(client < self.clients.len(), "no such client machine");
-        // A partitioned world schedules each thread through its client
-        // domain's private channel under a domain-local thread id; the
-        // monolithic world keeps one global channel and global ids.
-        let id = match &self.part {
-            Some(p) => p.cdoms[client].resp_txs.len(),
-            None => self.threads.len(),
-        };
+        let id = self.threads.len();
         let (resp_tx, resp_rx) = channel();
-        let req_tx = match &self.part {
-            Some(p) => p.cdoms[client].req_tx.clone(),
-            None => self.req_tx.clone(),
-        };
+        let req_tx = self.req_tx.clone();
         let handle = std::thread::spawn(move || {
             let mut sys = WorldSys {
                 id,
@@ -1168,11 +987,6 @@ impl World {
             };
             f(&mut sys);
         });
-        if let Some(p) = &mut self.part {
-            let cd = &mut p.cdoms[client];
-            cd.resp_txs.push(resp_tx.clone());
-            cd.live += 1;
-        }
         self.threads.push(ThreadState {
             resp_tx,
             handle: Some(handle),
@@ -1186,10 +1000,6 @@ impl World {
     /// finishes). Used by harnesses that reset CPU accounting after a
     /// warm-up interval. [`World::run`] must still be called afterwards.
     pub fn run_until(&mut self, t: SimTime) {
-        assert!(
-            self.part.is_none(),
-            "run_until requires a monolithic world (warm-up harnesses run single-client worlds)"
-        );
         if !self.started {
             self.release_threads();
         }
@@ -1201,9 +1011,9 @@ impl World {
             if self.live_threads == 0 {
                 return;
             }
-            match self.doms[0].peek() {
-                Some((pt, _)) if pt <= t => {
-                    let (at, _, ev) = self.doms[0].pop().expect("peeked");
+            match self.queue.peek_time() {
+                Some(pt) if pt <= t => {
+                    let (at, ev) = self.queue.pop().expect("peeked");
                     self.handle_event(at, ev);
                 }
                 _ => return,
@@ -1218,27 +1028,10 @@ impl World {
         }
     }
 
-    /// Runs the world until every workload thread has finished.
+    /// Runs the world until every workload thread has finished: strict
+    /// hand-off between the event loop and exactly one runnable workload
+    /// thread.
     pub fn run(&mut self) {
-        if self.part.is_some() {
-            self.run_partitioned();
-        } else {
-            self.run_monolithic();
-        }
-        for t in &mut self.threads {
-            if let Some(h) = t.handle.take() {
-                if let Err(payload) = h.join() {
-                    // Re-raise a workload panic on the caller's thread so
-                    // tests fail loudly instead of reporting half a run.
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
-    }
-
-    /// The historical single-queue engine: strict hand-off between the
-    /// event loop and exactly one runnable workload thread.
-    fn run_monolithic(&mut self) {
         if !self.started {
             self.release_threads();
         }
@@ -1247,9 +1040,18 @@ impl World {
                 self.resume(tid, resp);
                 continue;
             }
-            match self.doms[0].pop() {
-                Some((t, _, ev)) => self.handle_event(t, ev),
+            match self.queue.pop() {
+                Some((t, ev)) => self.handle_event(t, ev),
                 None => panic!("deadlock: threads blocked with no pending events"),
+            }
+        }
+        for t in &mut self.threads {
+            if let Some(h) = t.handle.take() {
+                if let Err(payload) = h.join() {
+                    // Re-raise a workload panic on the caller's thread so
+                    // tests fail loudly instead of reporting half a run.
+                    std::panic::resume_unwind(payload);
+                }
             }
         }
     }
@@ -1267,7 +1069,7 @@ impl World {
             let ci = self.thread_client[tid];
             match req {
                 Req::Now => {
-                    let t = self.doms[0].clock();
+                    let t = self.queue.now();
                     let _ = self.threads[tid].resp_tx.send(Resp::Time(t));
                 }
                 Req::PollTicket(t) => {
@@ -1281,25 +1083,24 @@ impl World {
                     let _ = self.threads[tid].resp_tx.send(Resp::Unit);
                 }
                 Req::Sleep(d) => {
-                    let at = self.doms[0].clock() + d;
-                    self.doms[0].push(at, Ev::Wake(tid, Resp::Unit));
+                    let at = self.queue.now() + d;
+                    self.queue.push(at, Ev::Wake(tid, Resp::Unit));
                     return;
                 }
                 Req::ChargeCpu(d) => {
-                    let done = self.clients[ci].host.cpu.charge(
-                        self.doms[0].clock(),
-                        d,
-                        CpuCategory::User,
-                    );
-                    self.doms[0].push(done, Ev::Wake(tid, Resp::Unit));
-                    return;
-                }
-                Req::LocalDisk { bytes, write, seq } => {
                     let done =
                         self.clients[ci]
                             .host
-                            .disk_io(self.doms[0].clock(), bytes, write, seq);
-                    self.doms[0].push(done, Ev::Wake(tid, Resp::Unit));
+                            .cpu
+                            .charge(self.queue.now(), d, CpuCategory::User);
+                    self.queue.push(done, Ev::Wake(tid, Resp::Unit));
+                    return;
+                }
+                Req::LocalDisk { bytes, write, seq } => {
+                    let done = self.clients[ci]
+                        .host
+                        .disk_io(self.queue.now(), bytes, write, seq);
+                    self.queue.push(done, Ev::Wake(tid, Resp::Unit));
                     return;
                 }
                 Req::Rpc(sj, proc, msg) => {
@@ -1375,7 +1176,7 @@ impl World {
             "duplicate xid {xid} in flight on client {ci} toward server {sj}"
         );
         self.clients[ci].pending.insert((sj, xid), waker);
-        let now = self.doms[0].clock();
+        let now = self.queue.now();
         match &mut self.clients[ci].transports[sj] {
             Transport::Udp(u) => {
                 let mut actions = std::mem::take(&mut self.udp_actions);
@@ -1397,7 +1198,7 @@ impl World {
     }
 
     fn apply_udp_actions(&mut self, ci: usize, sj: usize, actions: &mut Vec<UdpAction>) {
-        let now = self.doms[0].clock();
+        let now = self.queue.now();
         for action in actions.drain(..) {
             match action {
                 UdpAction::Send { payload, .. } => {
@@ -1405,7 +1206,7 @@ impl World {
                     let frags = udp_fragments(payload.len(), c.mtus[sj]);
                     let done = c.host.charge_tx(now, &payload, frags, false);
                     let (src, sport) = (c.node, c.sport);
-                    self.doms[0].push(
+                    self.queue.push(
                         done,
                         Ev::Send {
                             src,
@@ -1419,7 +1220,7 @@ impl World {
                     );
                 }
                 UdpAction::ArmTimer { xid, gen, deadline } => {
-                    self.doms[0].push(
+                    self.queue.push(
                         deadline,
                         Ev::UdpTimer {
                             client: ci,
@@ -1467,7 +1268,7 @@ impl World {
             self.tcp_ingest(ci, sj, chunk, from_client, at);
         }
         if let Some((deadline, gen)) = out.arm_timer {
-            self.doms[0].push(
+            self.queue.push(
                 deadline,
                 Ev::TcpTimer {
                     client: ci,
@@ -1495,7 +1296,7 @@ impl World {
             } else {
                 (self.hub.servers[sj].node, self.clients[ci].node)
             };
-            self.doms[0].push(
+            self.queue.push(
                 done,
                 Ev::Send {
                     src,
@@ -1579,10 +1380,10 @@ impl World {
         };
         match waker {
             Waker::Sync(tid) => {
-                self.doms[0].push(at, Ev::Wake(tid, Resp::Chain(result)));
+                self.queue.push(at, Ev::Wake(tid, Resp::Chain(result)));
             }
             Waker::Async(ticket) => {
-                self.doms[0].push(
+                self.queue.push(
                     at,
                     Ev::AsyncDone {
                         client: ci,
@@ -1646,7 +1447,7 @@ impl World {
         if reply.is_empty() {
             // Unparseable request: the daemon is immediately free again.
             if self.cfg.nfsds > 0 {
-                self.doms[0].push(start, Ev::NfsdDone { server: sj });
+                self.queue.push(start, Ev::NfsdDone { server: sj });
             }
             return;
         }
@@ -1689,7 +1490,7 @@ impl World {
             let frags = udp_fragments(reply.len(), c.mtus[sj]);
             let (dst, dport) = (c.node, c.sport);
             done = self.hub.servers[sj].host.charge_tx(t, &reply, frags, false);
-            self.doms[0].push(
+            self.queue.push(
                 done,
                 Ev::Send {
                     src: self.hub.servers[sj].node,
@@ -1708,7 +1509,7 @@ impl World {
             .service_ms
             .add(done.since(start).as_millis_f64());
         if self.cfg.nfsds > 0 {
-            self.doms[0].push(done, Ev::NfsdDone { server: sj });
+            self.queue.push(done, Ev::NfsdDone { server: sj });
         }
     }
 
@@ -1805,7 +1606,7 @@ impl World {
                         kind: ClientEventKind::ServerCrashed,
                     });
                 }
-                self.doms[0].push(now + downtime, Ev::ServerReboot { server });
+                self.queue.push(now + downtime, Ev::ServerReboot { server });
             }
             Ev::ServerReboot { server } => {
                 // Volatile state (name cache, buffer cache, dup cache)
@@ -1820,16 +1621,13 @@ impl World {
                     });
                 }
             }
-            Ev::Note { .. } => {
-                unreachable!("console notes are scheduled only in partitioned worlds")
-            }
         }
     }
 
     fn absorb_net(&mut self, out: &mut NetOutput) {
         profile::count(profile::Subsystem::Links, out.events.len() as u64);
         for (t, ev) in out.events.drain(..) {
-            self.doms[0].push(t, Ev::Net(ev));
+            self.queue.push(t, Ev::Net(ev));
         }
         for d in out.delivered.drain(..) {
             self.on_delivery(d);
@@ -1837,7 +1635,7 @@ impl World {
     }
 
     fn on_delivery(&mut self, d: Delivery) {
-        let now = self.doms[0].clock();
+        let now = self.queue.now();
         let at_server = self.hub.node_server[d.host.0];
         // A crashed host receives nothing: requests (and TCP segments)
         // addressed to it die on arrival and the client must retransmit.
@@ -1932,1109 +1730,6 @@ impl World {
             }
         }
     }
-
-    // ----- the partitioned (PDES) engine ----------------------------------
-
-    /// Runs a partitioned world to completion: every client machine and
-    /// the hub execute rounds against their private queues, synchronized
-    /// by a conservative barrier whose lookahead is the boundary links'
-    /// propagation delay. The round schedule is a pure function of queue
-    /// state, so every `sim_threads` value executes the identical event
-    /// order and the run is byte-identical at any thread count.
-    fn run_partitioned(&mut self) {
-        assert!(!self.started, "a partitioned world runs exactly once");
-        self.started = true;
-        let n = self.clients.len();
-        let workers = self.cfg.sim_threads.max(1) - 1;
-        let part = self.part.as_mut().expect("partitioned world");
-        let cdoms = &mut part.cdoms;
-        // Seed every domain's ready FIFO in spawn order; round 0 releases
-        // the threads exactly as `release_threads` does monolithically.
-        for cd in cdoms.iter_mut() {
-            for tid in 0..cd.resp_txs.len() {
-                cd.ready.push_back((tid, Resp::Unit));
-            }
-        }
-        let la_up: Vec<SimDuration> = cdoms.iter().map(|c| c.la_up).collect();
-        let la_dn: Vec<SimDuration> = cdoms.iter().map(|c| c.la_dn).collect();
-        let (hub_doms, client_dqs) = self.doms.split_at_mut(1);
-        let hub_dq = &mut hub_doms[0];
-        let hub = &mut self.hub;
-        let finish = if workers == 0 {
-            let mut exec = SeqExec {
-                rts: &mut self.clients,
-                cds: cdoms,
-                dqs: client_dqs,
-                reports: Vec::new(),
-                to_hub: Vec::new(),
-            };
-            pdes_coordinate(hub, hub_dq, &la_up, &la_dn, &mut exec)
-        } else {
-            let nworkers = workers.min(n);
-            std::thread::scope(|s| {
-                let (done_tx, done_rx) = channel::<WorkerDone>();
-                let mut go_txs = Vec::with_capacity(nworkers);
-                let mut worker_of = Vec::with_capacity(n);
-                let mut rts: &mut [ClientRt] = &mut self.clients;
-                let mut cds: &mut [ClientDom] = cdoms;
-                let mut dqs: &mut [DomainQ<Ev>] = client_dqs;
-                let mut base = 0usize;
-                for w in 0..nworkers {
-                    // Contiguous chunks, remainder spread over the front.
-                    let take = (n - base).div_ceil(nworkers - w);
-                    let (r1, r2) = rts.split_at_mut(take);
-                    let (c1, c2) = cds.split_at_mut(take);
-                    let (d1, d2) = dqs.split_at_mut(take);
-                    rts = r2;
-                    cds = c2;
-                    dqs = d2;
-                    let (go_tx, go_rx) = channel::<WorkerGo>();
-                    let dtx = done_tx.clone();
-                    s.spawn(move || pdes_worker(base, r1, c1, d1, go_rx, dtx));
-                    go_txs.push(go_tx);
-                    worker_of.extend(std::iter::repeat_n(w, take));
-                    base += take;
-                }
-                let mut exec = ParExec {
-                    go_txs,
-                    done_rx,
-                    worker_of,
-                    buckets: (0..nworkers).map(|_| Vec::new()).collect(),
-                    outstanding: 0,
-                };
-                pdes_coordinate(hub, hub_dq, &la_up, &la_dn, &mut exec)
-                // Dropping `exec` closes the Go channels; the workers'
-                // recv loops end and the scope joins them.
-            })
-        };
-        part.finish = finish;
-    }
-}
-
-// ----- partitioned-engine machinery (module level so worker threads can
-// borrow disjoint client chunks without touching `World`) ----------------
-
-/// A cross-domain message: arrival time, canonical event key (allocated
-/// by the *creator* domain), and the event itself. The receiving queue
-/// orders by `(time, key)`, so arrival order between messages is
-/// irrelevant — which is what makes worker completion order harmless.
-type Msg = (SimTime, u64, Ev);
-
-/// What a client domain reports back at the end of a round it ran.
-struct ClientReport {
-    /// Earliest pending local event after the round (`None` = drained).
-    eot: Option<SimTime>,
-    /// Workload threads still running on this client.
-    live: usize,
-    /// Latest thread-finish time seen so far on this client.
-    last_finish: SimTime,
-}
-
-/// One scheduled client's work order for a round: deliver `msgs` into
-/// the local queue, then execute every local event strictly below
-/// `bound`. The coordinator only builds a job for clients whose
-/// effective earliest work lies below their bound — everyone else would
-/// provably pop nothing, so the executors never touch them and their
-/// last report stands.
-struct RoundJob {
-    ci: usize,
-    bound: SimTime,
-    msgs: Vec<Msg>,
-}
-
-/// One round's work orders for a worker (only its own clients').
-struct WorkerGo {
-    jobs: Vec<RoundJob>,
-}
-
-/// A worker's round result: a report per job plus every message its
-/// clients emitted toward the hub. Merge order between workers is
-/// irrelevant: reports are keyed by client and messages merge by
-/// `(time, key)` in the hub queue.
-struct WorkerDone {
-    reports: Vec<(usize, ClientReport)>,
-    to_hub: Vec<Msg>,
-}
-
-/// Mutable view of one client machine's domain for one round. The
-/// methods mirror the monolithic engine's client half exactly — same
-/// transport calls in the same order against per-domain state.
-struct ClientCtx<'a> {
-    ci: usize,
-    rt: &'a mut ClientRt,
-    cd: &'a mut ClientDom,
-    dq: &'a mut DomainQ<Ev>,
-    /// Cross-domain emissions toward the hub, collected this round.
-    emit: &'a mut Vec<Msg>,
-}
-
-impl ClientCtx<'_> {
-    /// Delivers the round's incoming messages, then executes every local
-    /// event strictly below `bound`, interleaving thread resumes exactly
-    /// like the monolithic loop (ready FIFO drains before each pop).
-    fn round(&mut self, bound: SimTime, msgs: &mut Vec<Msg>) -> ClientReport {
-        for (t, key, ev) in msgs.drain(..) {
-            self.dq.push_incoming(t, key, ev);
-        }
-        self.drain_ready();
-        loop {
-            match self.dq.peek() {
-                Some((t, _)) if t < bound => {
-                    let (at, _, ev) = self.dq.pop().expect("peeked");
-                    debug_assert_eq!(at, t);
-                    self.handle_event(at, ev);
-                    self.drain_ready();
-                }
-                _ => break,
-            }
-        }
-        ClientReport {
-            eot: self.dq.peek().map(|(t, _)| t),
-            live: self.cd.live,
-            last_finish: self.cd.last_finish,
-        }
-    }
-
-    fn drain_ready(&mut self) {
-        while let Some((tid, resp)) = self.cd.ready.pop_front() {
-            self.resume(tid, resp);
-        }
-    }
-
-    /// Per-domain copy of the monolithic `resume`: strict hand-off with
-    /// one runnable workload thread, domain-local ids and tickets.
-    fn resume(&mut self, tid: usize, resp: Resp) {
-        let _sp = profile::span(profile::Subsystem::Client);
-        if self.cd.resp_txs[tid].send(resp).is_err() {
-            return;
-        }
-        loop {
-            let (id, req) = self.cd.req_rx.recv().expect("thread alive");
-            debug_assert_eq!(id, tid, "only one thread runnable per domain");
-            match req {
-                Req::Now => {
-                    let t = self.dq.clock();
-                    let _ = self.cd.resp_txs[tid].send(Resp::Time(t));
-                }
-                Req::PollTicket(t) => {
-                    let r = self.cd.tickets_done.remove(&t);
-                    let _ = self.cd.resp_txs[tid].send(Resp::MaybeChain(r));
-                }
-                Req::ForgetTicket(t) => {
-                    if self.cd.tickets_done.remove(&t).is_none() {
-                        self.cd.forgotten.insert(t);
-                    }
-                    let _ = self.cd.resp_txs[tid].send(Resp::Unit);
-                }
-                Req::Sleep(d) => {
-                    let at = self.dq.clock() + d;
-                    self.dq.push(at, Ev::Wake(tid, Resp::Unit));
-                    return;
-                }
-                Req::ChargeCpu(d) => {
-                    let done = self
-                        .rt
-                        .host
-                        .cpu
-                        .charge(self.dq.clock(), d, CpuCategory::User);
-                    self.dq.push(done, Ev::Wake(tid, Resp::Unit));
-                    return;
-                }
-                Req::LocalDisk { bytes, write, seq } => {
-                    let done = self.rt.host.disk_io(self.dq.clock(), bytes, write, seq);
-                    self.dq.push(done, Ev::Wake(tid, Resp::Unit));
-                    return;
-                }
-                Req::Rpc(sj, proc, msg) => {
-                    self.start_rpc(sj, Waker::Sync(tid), proc, msg);
-                    return;
-                }
-                Req::RpcAsync(sj, proc, msg) => {
-                    let slots = self.cd.biods;
-                    if slots == 0 {
-                        let ticket = self.cd.next_ticket;
-                        self.cd.next_ticket += 1;
-                        self.rt.async_outstanding += 1;
-                        self.cd.ticket_waiters.insert(ticket, usize::MAX - tid);
-                        self.start_rpc(sj, Waker::Async(ticket), proc, msg);
-                        return;
-                    }
-                    if self.rt.async_outstanding < slots {
-                        let ticket = self.cd.next_ticket;
-                        self.cd.next_ticket += 1;
-                        self.rt.async_outstanding += 1;
-                        self.start_rpc(sj, Waker::Async(ticket), proc, msg);
-                        let _ = self.cd.resp_txs[tid].send(Resp::Ticket(ticket));
-                    } else {
-                        self.rt.parked_async.push_back((tid, sj, proc, msg));
-                        return;
-                    }
-                }
-                Req::AwaitTicket(t) => {
-                    if let Some(reply) = self.cd.tickets_done.remove(&t) {
-                        let _ = self.cd.resp_txs[tid].send(Resp::Chain(reply));
-                    } else {
-                        self.cd.ticket_waiters.insert(t, tid);
-                        return;
-                    }
-                }
-                Req::WaitAllAsync => {
-                    if self.rt.async_outstanding == 0 {
-                        let _ = self.cd.resp_txs[tid].send(Resp::Unit);
-                    } else {
-                        self.rt.wait_all.push(tid);
-                        return;
-                    }
-                }
-                Req::Finished => {
-                    self.cd.live -= 1;
-                    self.cd.last_finish = self.cd.last_finish.max(self.dq.clock());
-                    return;
-                }
-            }
-        }
-    }
-
-    fn start_rpc(&mut self, sj: usize, waker: Waker, proc: NfsProc, msg: MbufChain) {
-        let Ok((xid, MsgKind::Call)) = peek_xid_kind(&msg) else {
-            panic!("workload issued a malformed RPC message");
-        };
-        debug_assert!(
-            !self.rt.pending.contains_key(&(sj, xid)),
-            "duplicate xid {xid} in flight on client {} toward server {sj}",
-            self.ci
-        );
-        self.rt.pending.insert((sj, xid), waker);
-        let now = self.dq.clock();
-        match &mut self.rt.transports[sj] {
-            Transport::Udp(u) => {
-                let mut actions = std::mem::take(&mut self.cd.udp_actions);
-                u.call(now, xid, proc.rto_class(), msg, &mut actions);
-                self.apply_udp_actions(sj, &mut actions);
-                self.cd.udp_actions = actions;
-            }
-            Transport::Tcp(_) => unreachable!("TCP worlds are never partitioned"),
-        }
-    }
-
-    fn apply_udp_actions(&mut self, sj: usize, actions: &mut Vec<UdpAction>) {
-        let now = self.dq.clock();
-        for action in actions.drain(..) {
-            match action {
-                UdpAction::Send { payload, .. } => {
-                    let frags = udp_fragments(payload.len(), self.rt.mtus[sj]);
-                    let done = self.rt.host.charge_tx(now, &payload, frags, false);
-                    self.dq.push(
-                        done,
-                        Ev::Send {
-                            src: self.rt.node,
-                            dst: self.cd.server_nodes[sj],
-                            proto: ProtoHeader::Udp {
-                                sport: self.rt.sport,
-                                dport: NFS_PORT,
-                            },
-                            payload,
-                        },
-                    );
-                }
-                UdpAction::ArmTimer { xid, gen, deadline } => {
-                    self.dq.push(
-                        deadline,
-                        Ev::UdpTimer {
-                            client: self.ci,
-                            server: sj,
-                            xid,
-                            gen,
-                        },
-                    );
-                }
-                UdpAction::GiveUp { xid } => {
-                    self.rt.events.push(ClientEvent {
-                        at: now,
-                        kind: ClientEventKind::SoftTimeout,
-                    });
-                    self.finish_rpc(sj, xid, Err(RpcError::TimedOut), now);
-                }
-                UdpAction::NotResponding { .. } => {
-                    self.rt.events.push(ClientEvent {
-                        at: now,
-                        kind: ClientEventKind::NotResponding,
-                    });
-                }
-                UdpAction::ServerOk { .. } => {
-                    self.rt.events.push(ClientEvent {
-                        at: now,
-                        kind: ClientEventKind::ServerOk,
-                    });
-                }
-            }
-        }
-    }
-
-    fn client_rpc_reply(&mut self, sj: usize, reply: MbufChain, at: SimTime) {
-        let _sp = profile::span(profile::Subsystem::Client);
-        profile::count(profile::Subsystem::Client, 1);
-        let Ok((xid, MsgKind::Reply)) = peek_xid_kind(&reply) else {
-            return;
-        };
-        match &mut self.rt.transports[sj] {
-            Transport::Udp(u) => {
-                let mut actions = std::mem::take(&mut self.cd.udp_actions);
-                let completed = u.on_reply(at, xid, reply, &mut actions);
-                self.apply_udp_actions(sj, &mut actions);
-                self.cd.udp_actions = actions;
-                let Some(call) = completed else {
-                    return;
-                };
-                self.finish_rpc(sj, xid, Ok(call.reply), at);
-            }
-            Transport::Tcp(_) => unreachable!("TCP worlds are never partitioned"),
-        }
-    }
-
-    fn finish_rpc(&mut self, sj: usize, xid: u32, result: RpcResult, at: SimTime) {
-        let Some(waker) = self.rt.pending.remove(&(sj, xid)) else {
-            return;
-        };
-        match waker {
-            Waker::Sync(tid) => {
-                self.dq.push(at, Ev::Wake(tid, Resp::Chain(result)));
-            }
-            Waker::Async(ticket) => {
-                self.dq.push(
-                    at,
-                    Ev::AsyncDone {
-                        client: self.ci,
-                        ticket,
-                        result,
-                    },
-                );
-            }
-        }
-    }
-
-    fn async_done(&mut self, ticket: u64, result: RpcResult) {
-        self.rt.async_outstanding = self.rt.async_outstanding.saturating_sub(1);
-        if self.cd.forgotten.remove(&ticket) {
-            // Dropped interest; discard the reply.
-        } else if let Some(holder) = self.cd.ticket_waiters.remove(&ticket) {
-            if holder > usize::MAX / 2 {
-                // 0-biod synchronous case: the thread is still waiting
-                // for its Ticket response.
-                let tid = usize::MAX - holder;
-                self.cd.tickets_done.insert(ticket, result);
-                self.cd.ready.push_back((tid, Resp::Ticket(ticket)));
-            } else {
-                self.cd.ready.push_back((holder, Resp::Chain(result)));
-            }
-        } else {
-            self.cd.tickets_done.insert(ticket, result);
-        }
-        // A slot freed: admit a parked async request from this client.
-        if let Some((tid, sj, proc, msg)) = self.rt.parked_async.pop_front() {
-            let t = self.cd.next_ticket;
-            self.cd.next_ticket += 1;
-            self.rt.async_outstanding += 1;
-            self.start_rpc(sj, Waker::Async(t), proc, msg);
-            self.cd.ready.push_back((tid, Resp::Ticket(t)));
-        }
-        if self.rt.async_outstanding == 0 {
-            for tid in self.rt.wait_all.drain(..) {
-                self.cd.ready.push_back((tid, Resp::Unit));
-            }
-        }
-    }
-
-    fn handle_event(&mut self, now: SimTime, ev: Ev) {
-        match ev {
-            Ev::Wake(tid, resp) => self.cd.ready.push_back((tid, resp)),
-            Ev::AsyncDone { ticket, result, .. } => self.async_done(ticket, result),
-            Ev::UdpTimer {
-                server, xid, gen, ..
-            } => {
-                if let Transport::Udp(u) = &mut self.rt.transports[server] {
-                    let mut actions = std::mem::take(&mut self.cd.udp_actions);
-                    u.on_timer(now, xid, gen, &mut actions);
-                    self.apply_udp_actions(server, &mut actions);
-                    self.cd.udp_actions = actions;
-                }
-            }
-            Ev::Send {
-                src,
-                dst,
-                proto,
-                payload,
-            } => {
-                let _sp = profile::span(profile::Subsystem::Links);
-                let id = self.cd.access.alloc_dgram_id();
-                let mut out = std::mem::take(&mut self.cd.net_out);
-                self.cd.access.send_into(
-                    now,
-                    Datagram {
-                        id,
-                        src,
-                        dst,
-                        proto,
-                        payload,
-                    },
-                    &mut out,
-                );
-                profile::count(profile::Subsystem::Links, out.events.len() as u64);
-                // Every uplink emission lands in the hub domain; the
-                // creator key preserves deterministic merge order there.
-                for (t, nev) in out.events.drain(..) {
-                    let key = self.dq.alloc_key();
-                    self.emit.push((t, key, Ev::Net(nev)));
-                }
-                debug_assert!(out.delivered.is_empty(), "uplink send cannot deliver");
-                self.cd.net_out = out;
-            }
-            Ev::Net(nev) => {
-                let _sp = profile::span(profile::Subsystem::Links);
-                let mut out = std::mem::take(&mut self.cd.net_out);
-                self.cd.access.handle_into(now, nev, &mut out);
-                profile::count(profile::Subsystem::Links, out.events.len() as u64);
-                // Reassembly timers are domain-local.
-                for (t, nev) in out.events.drain(..) {
-                    self.dq.push(t, Ev::Net(nev));
-                }
-                for d in out.delivered.drain(..) {
-                    debug_assert_eq!(d.host, self.rt.node, "delivery left the client domain");
-                    let len = d.dgram.payload.len();
-                    let frags = d.frags.max(1);
-                    // Which shard this reply came back from: the
-                    // datagram's source is that server's node.
-                    let sj = self
-                        .cd
-                        .server_nodes
-                        .iter()
-                        .position(|&s| s == d.dgram.src)
-                        .expect("reply source is a known server");
-                    match d.dgram.proto {
-                        ProtoHeader::Udp { .. } => {
-                            let t = self.rt.host.charge_rx(now, len, frags, false);
-                            self.client_rpc_reply(sj, d.dgram.payload, t);
-                        }
-                        ProtoHeader::Tcp { .. } => {
-                            unreachable!("TCP worlds are never partitioned")
-                        }
-                    }
-                }
-                self.cd.net_out = out;
-            }
-            Ev::Note { kind } => self.rt.events.push(ClientEvent { at: now, kind }),
-            Ev::TcpTimer { .. }
-            | Ev::NfsdDone { .. }
-            | Ev::ServerCrash { .. }
-            | Ev::ServerReboot { .. } => {
-                unreachable!("hub event in a client domain")
-            }
-        }
-    }
-}
-
-impl Hub {
-    /// Executes every hub event strictly below `bound`. Emissions whose
-    /// network event lands on a client machine's node are routed to the
-    /// flat `emits` list instead of the local queue.
-    fn round(&mut self, dq: &mut DomainQ<Ev>, bound: SimTime, emits: &mut Vec<(usize, Msg)>) {
-        loop {
-            match dq.peek() {
-                Some((t, _)) if t < bound => {
-                    let (at, _, ev) = dq.pop().expect("peeked");
-                    debug_assert_eq!(at, t);
-                    self.handle_event(dq, at, ev, emits);
-                }
-                _ => return,
-            }
-        }
-    }
-
-    fn handle_event(
-        &mut self,
-        dq: &mut DomainQ<Ev>,
-        now: SimTime,
-        ev: Ev,
-        emits: &mut Vec<(usize, Msg)>,
-    ) {
-        match ev {
-            Ev::Send {
-                src,
-                dst,
-                proto,
-                payload,
-            } => {
-                let _sp = profile::span(profile::Subsystem::Links);
-                let id = self.net.alloc_dgram_id();
-                let mut out = std::mem::take(&mut self.net_out);
-                self.net.send_into(
-                    now,
-                    Datagram {
-                        id,
-                        src,
-                        dst,
-                        proto,
-                        payload,
-                    },
-                    &mut out,
-                );
-                self.absorb_net(dq, now, &mut out, emits);
-                self.net_out = out;
-            }
-            Ev::Net(nev) => {
-                let _sp = profile::span(profile::Subsystem::Links);
-                let mut out = std::mem::take(&mut self.net_out);
-                self.net.handle_into(now, nev, &mut out);
-                self.absorb_net(dq, now, &mut out, emits);
-                self.net_out = out;
-            }
-            Ev::NfsdDone { server } => {
-                let srv = &mut self.servers[server];
-                srv.nfsd_busy = srv.nfsd_busy.saturating_sub(1);
-                if srv.up {
-                    if let Some(q) = srv.nfsd_queue.pop_front() {
-                        debug_assert!(!q.tcp, "TCP worlds are never partitioned");
-                        srv.nfsd_busy += 1;
-                        self.nfsd_serve(dq, q.request, q.client, server, q.arrival, now);
-                    }
-                }
-            }
-            Ev::ServerCrash { server, downtime } => {
-                let srv = &mut self.servers[server];
-                srv.up = false;
-                // Requests waiting for a daemon die with the machine; the
-                // clients retransmit them after the reboot. Client console
-                // notes were pre-scheduled in each client domain.
-                srv.nfsd_queue.clear();
-                dq.push(now + downtime, Ev::ServerReboot { server });
-            }
-            Ev::ServerReboot { server } => {
-                let srv = &mut self.servers[server];
-                srv.server.reboot();
-                srv.up = true;
-            }
-            Ev::Wake(..)
-            | Ev::AsyncDone { .. }
-            | Ev::UdpTimer { .. }
-            | Ev::TcpTimer { .. }
-            | Ev::Note { .. } => unreachable!("client event in the hub domain"),
-        }
-    }
-
-    fn absorb_net(
-        &mut self,
-        dq: &mut DomainQ<Ev>,
-        now: SimTime,
-        out: &mut NetOutput,
-        emits: &mut Vec<(usize, Msg)>,
-    ) {
-        profile::count(profile::Subsystem::Links, out.events.len() as u64);
-        for (t, ev) in out.events.drain(..) {
-            let node = self.net.event_node(&ev);
-            match self.node_client[node.0] {
-                Some(ci) => {
-                    let key = dq.alloc_key();
-                    emits.push((ci, (t, key, Ev::Net(ev))));
-                }
-                None => {
-                    dq.push(t, Ev::Net(ev));
-                }
-            }
-        }
-        for d in out.delivered.drain(..) {
-            self.on_delivery(dq, now, d);
-        }
-    }
-
-    fn on_delivery(&mut self, dq: &mut DomainQ<Ev>, now: SimTime, d: Delivery) {
-        let Some(sj) = self.node_server[d.host.0] else {
-            debug_assert!(
-                false,
-                "client-bound fragments cross domains before reassembly"
-            );
-            return;
-        };
-        // A crashed server receives nothing: requests addressed to it die
-        // on arrival and the client must retransmit.
-        if !self.servers[sj].up {
-            return;
-        }
-        let Some(ci) = self.node_client[d.dgram.src.0] else {
-            return; // not from any client machine
-        };
-        let len = d.dgram.payload.len();
-        let frags = d.frags.max(1);
-        match d.dgram.proto {
-            ProtoHeader::Udp { .. } => {
-                let t = self.servers[sj].host.charge_rx(now, len, frags, false);
-                self.serve_request(dq, d.dgram.payload, ci, sj, t);
-            }
-            ProtoHeader::Tcp { .. } => unreachable!("TCP worlds are never partitioned"),
-        }
-    }
-
-    fn serve_request(
-        &mut self,
-        dq: &mut DomainQ<Ev>,
-        request: MbufChain,
-        client: usize,
-        sj: usize,
-        at: SimTime,
-    ) {
-        if self.nfsds > 0 {
-            let srv = &mut self.servers[sj];
-            if srv.nfsd_busy >= self.nfsds {
-                srv.nfsd_queue.push_back(QueuedRpc {
-                    request,
-                    client,
-                    tcp: false,
-                    arrival: at,
-                });
-                srv.nfsd_stats.queued += 1;
-                srv.nfsd_stats.peak_queue = srv.nfsd_stats.peak_queue.max(srv.nfsd_queue.len());
-                return;
-            }
-            srv.nfsd_busy += 1;
-        }
-        self.nfsd_serve(dq, request, client, sj, at, at);
-    }
-
-    fn nfsd_serve(
-        &mut self,
-        dq: &mut DomainQ<Ev>,
-        request: MbufChain,
-        client: usize,
-        sj: usize,
-        arrival: SimTime,
-        start: SimTime,
-    ) {
-        let _sp = profile::span(profile::Subsystem::Server);
-        profile::count(profile::Subsystem::Server, 1);
-        let srv = &mut self.servers[sj];
-        srv.nfsd_stats
-            .queue_delays_ms
-            .push(start.since(arrival).as_millis_f64());
-        let (reply, cost) = srv.server.service_from(start, &request, client as u32);
-        if reply.is_empty() {
-            // Unparseable request: the daemon is immediately free again.
-            if self.nfsds > 0 {
-                dq.push(start, Ev::NfsdDone { server: sj });
-            }
-            return;
-        }
-        let host = &mut srv.host;
-        let mut t = host.cpu.charge(
-            start,
-            costs::NFS_SERVICE_FIXED
-                + costs::CACHE_SEARCH_STEP * cost.cache_steps
-                + costs::DIR_SCAN_ENTRY * cost.dir_scan_entries,
-            CpuCategory::Nfs,
-        );
-        if cost.bytes_copied > 0 {
-            t = host.cpu.charge(
-                t,
-                costs::COPY_PER_BYTE * cost.bytes_copied,
-                CpuCategory::BufCopy,
-            );
-        }
-        for bytes in &cost.disk_reads {
-            t = host.disk_io(t, *bytes, false, false);
-        }
-        let mut seq = false;
-        for bytes in &cost.disk_writes {
-            // Data blocks stream sequentially; metadata seeks.
-            t = host.disk_io(t, *bytes, true, seq && *bytes > 512);
-            seq = true;
-        }
-        let m = &self.metas[client];
-        let frags = udp_fragments(reply.len(), m.mtus[sj]);
-        let done = srv.host.charge_tx(t, &reply, frags, false);
-        dq.push(
-            done,
-            Ev::Send {
-                src: srv.node,
-                dst: m.node,
-                proto: ProtoHeader::Udp {
-                    sport: NFS_PORT,
-                    dport: m.sport,
-                },
-                payload: reply,
-            },
-        );
-        srv.nfsd_stats.served += 1;
-        srv.nfsd_stats
-            .service_ms
-            .add(done.since(start).as_millis_f64());
-        if self.nfsds > 0 {
-            dq.push(done, Ev::NfsdDone { server: sj });
-        }
-    }
-}
-
-/// How the coordinator hands a round to the client domains: `dispatch`
-/// starts the scheduled jobs (inline or by messaging workers),
-/// `collect` returns one report per job plus the hub-bound messages.
-/// Splitting the two lets the hub's own round overlap the workers'.
-trait RoundExec {
-    /// Runs (or ships) the round's jobs. The sequential executor drains
-    /// each job's messages but leaves the job list itself intact so the
-    /// coordinator can reclaim the message buffers' capacity; the
-    /// parallel executor consumes the jobs (they cross threads).
-    fn dispatch(&mut self, jobs: &mut Vec<RoundJob>);
-    /// Appends one report per job and the round's hub-bound emissions
-    /// into the coordinator's (drained) buffers.
-    fn collect(&mut self, reports: &mut Vec<(usize, ClientReport)>, to_hub: &mut Vec<Msg>);
-}
-
-/// `--sim-threads 1`: the identical rounds run inline on the caller,
-/// into buffers that swap with the coordinator's each round.
-struct SeqExec<'a> {
-    rts: &'a mut [ClientRt],
-    cds: &'a mut [ClientDom],
-    dqs: &'a mut [DomainQ<Ev>],
-    reports: Vec<(usize, ClientReport)>,
-    to_hub: Vec<Msg>,
-}
-
-impl RoundExec for SeqExec<'_> {
-    fn dispatch(&mut self, jobs: &mut Vec<RoundJob>) {
-        for job in jobs.iter_mut() {
-            let ci = job.ci;
-            let mut ctx = ClientCtx {
-                ci,
-                rt: &mut self.rts[ci],
-                cd: &mut self.cds[ci],
-                dq: &mut self.dqs[ci],
-                emit: &mut self.to_hub,
-            };
-            let report = ctx.round(job.bound, &mut job.msgs);
-            self.reports.push((ci, report));
-        }
-    }
-
-    fn collect(&mut self, reports: &mut Vec<(usize, ClientReport)>, to_hub: &mut Vec<Msg>) {
-        std::mem::swap(&mut self.reports, reports);
-        std::mem::swap(&mut self.to_hub, to_hub);
-    }
-}
-
-/// `--sim-threads > 1`: persistent scoped workers own contiguous client
-/// chunks; rounds travel over channels. Only workers with at least one
-/// job hear about a round at all.
-struct ParExec {
-    go_txs: Vec<Sender<WorkerGo>>,
-    done_rx: Receiver<WorkerDone>,
-    /// Which worker owns each client (chunks are contiguous).
-    worker_of: Vec<usize>,
-    /// Per-worker job buckets, reused between rounds.
-    buckets: Vec<Vec<RoundJob>>,
-    /// Workers messaged this round, hence reports owed.
-    outstanding: usize,
-}
-
-impl RoundExec for ParExec {
-    fn dispatch(&mut self, jobs: &mut Vec<RoundJob>) {
-        for job in jobs.drain(..) {
-            self.buckets[self.worker_of[job.ci]].push(job);
-        }
-        self.outstanding = 0;
-        for (w, bucket) in self.buckets.iter_mut().enumerate() {
-            if !bucket.is_empty() {
-                let go = WorkerGo {
-                    jobs: std::mem::take(bucket),
-                };
-                self.go_txs[w].send(go).expect("worker alive");
-                self.outstanding += 1;
-            }
-        }
-    }
-
-    fn collect(&mut self, reports: &mut Vec<(usize, ClientReport)>, to_hub: &mut Vec<Msg>) {
-        for _ in 0..self.outstanding {
-            let d = self.done_rx.recv().expect("worker alive");
-            // Reports are keyed by client and hub-bound messages merge
-            // by (time, key) in the queue, so worker completion order
-            // cannot perturb determinism.
-            reports.extend(d.reports);
-            to_hub.extend(d.to_hub);
-        }
-    }
-}
-
-/// A worker's whole life: run each Go order's jobs over its client
-/// chunk and report; exit when the coordinator drops the channel.
-fn pdes_worker(
-    base: usize,
-    rts: &mut [ClientRt],
-    cds: &mut [ClientDom],
-    dqs: &mut [DomainQ<Ev>],
-    go_rx: Receiver<WorkerGo>,
-    done_tx: Sender<WorkerDone>,
-) {
-    let mut to_hub: Vec<Msg> = Vec::new();
-    while let Ok(go) = go_rx.recv() {
-        let mut reports = Vec::with_capacity(go.jobs.len());
-        for mut job in go.jobs {
-            let ci = job.ci;
-            let i = ci - base;
-            let mut ctx = ClientCtx {
-                ci,
-                rt: &mut rts[i],
-                cd: &mut cds[i],
-                dq: &mut dqs[i],
-                emit: &mut to_hub,
-            };
-            reports.push((ci, ctx.round(job.bound, &mut job.msgs)));
-        }
-        let done = WorkerDone {
-            reports,
-            to_hub: std::mem::take(&mut to_hub),
-        };
-        if done_tx.send(done).is_err() {
-            return;
-        }
-    }
-}
-
-/// A lazy min-heap entry for the coordinator's client index: the sort
-/// key, the client's generation at push time, and the client. An entry
-/// is stale — popped and ignored — once the client's generation has
-/// moved on (its effective earliest time changed).
-type LazyEntry<K> = std::cmp::Reverse<(K, u32, u32)>;
-
-/// The coordinator's per-client schedule state. Each client's
-/// *effective earliest time* (`eff`) is the earlier of its reported
-/// queue head and its earliest undelivered hub message; the two lazy
-/// heaps index it so every round costs O(scheduled clients), never
-/// O(clients): `run_heap` (keyed `eff − la_dn`, signed nanoseconds)
-/// yields exactly the clients whose bound `hub_next + la_dn` admits
-/// work, and `up_heap` (keyed `eff + la_up`) yields the client-side cap
-/// on the hub's bound.
-struct ClientSched {
-    eff: Vec<Option<SimTime>>,
-    generation: Vec<u32>,
-    la_up: Vec<SimDuration>,
-    la_dn: Vec<SimDuration>,
-    run_heap: std::collections::BinaryHeap<LazyEntry<i128>>,
-    up_heap: std::collections::BinaryHeap<LazyEntry<SimTime>>,
-}
-
-impl ClientSched {
-    fn new(la_up: &[SimDuration], la_dn: &[SimDuration]) -> Self {
-        let n = la_up.len();
-        ClientSched {
-            eff: vec![None; n],
-            generation: vec![0; n],
-            la_up: la_up.to_vec(),
-            la_dn: la_dn.to_vec(),
-            run_heap: std::collections::BinaryHeap::with_capacity(n),
-            up_heap: std::collections::BinaryHeap::with_capacity(n),
-        }
-    }
-
-    /// Records a new effective earliest time, invalidating the client's
-    /// old heap entries and pushing fresh ones.
-    fn set_eff(&mut self, ci: usize, eff: Option<SimTime>) {
-        self.eff[ci] = eff;
-        self.generation[ci] = self.generation[ci].wrapping_add(1);
-        if let Some(e) = eff {
-            let g = self.generation[ci];
-            let run_key = e.as_nanos() as i128 - self.la_dn[ci].as_nanos() as i128;
-            self.run_heap
-                .push(std::cmp::Reverse((run_key, g, ci as u32)));
-            self.up_heap
-                .push(std::cmp::Reverse((e + self.la_up[ci], g, ci as u32)));
-        }
-    }
-
-    /// An undelivered hub message for `ci` arriving at `t`: counts
-    /// toward its effective earliest time — it is already committed
-    /// work — even though delivery waits for the client's next round.
-    fn note_msg(&mut self, ci: usize, t: SimTime) {
-        match self.eff[ci] {
-            Some(e) if e <= t => {}
-            _ => self.set_eff(ci, Some(t)),
-        }
-    }
-
-    /// The minimum of `eff + la_up` over all clients (`None` = all
-    /// drained): the earliest a client emission could reach the hub.
-    fn client_up(&mut self) -> Option<SimTime> {
-        loop {
-            let &std::cmp::Reverse((t, g, ci)) = self.up_heap.peek()?;
-            if self.generation[ci as usize] == g {
-                return Some(t);
-            }
-            self.up_heap.pop();
-        }
-    }
-
-    /// Drains every client whose effective earliest time is below its
-    /// round bound (`eff < hub_next + la_dn`, i.e. `eff − la_dn <
-    /// hub_next`) into `jobs`, handing each its undelivered messages.
-    /// Every scheduled client pops at least one event, so the total
-    /// number of jobs over a run is bounded by the event count.
-    fn schedule(&mut self, hub_next: SimTime, inbox: &mut [Vec<Msg>], jobs: &mut Vec<RoundJob>) {
-        let horizon = hub_next.as_nanos() as i128;
-        loop {
-            let Some(&std::cmp::Reverse((key, g, ci))) = self.run_heap.peek() else {
-                return;
-            };
-            let ci = ci as usize;
-            if self.generation[ci] != g {
-                self.run_heap.pop();
-                continue;
-            }
-            if key >= horizon {
-                return;
-            }
-            self.run_heap.pop();
-            jobs.push(RoundJob {
-                ci,
-                bound: hub_next + self.la_dn[ci],
-                msgs: std::mem::take(&mut inbox[ci]),
-            });
-        }
-    }
-}
-
-/// The conservative barrier loop, identical at every thread count.
-///
-/// Each round: (1) compute each domain's bound from every *other*
-/// domain's earliest pending work plus the boundary lookahead — the
-/// hub's bound is the min over clients of their effective earliest time
-/// plus the uplink delay, each scheduled client's bound is the hub's
-/// earliest time plus its downlink delay; (2) run the scheduled
-/// domains' rounds independently (a client whose effective earliest
-/// work sits at or above its bound would pop nothing, so it is not
-/// dispatched at all and its hub messages stay parked in `inbox` —
-/// delivery timing is unobservable because the receiving queue orders
-/// by `(time, key)`); (3) exchange the messages at the barrier. The
-/// globally earliest pending event is always strictly below its
-/// domain's bound (lookaheads are ≥ the 1 ns floor), so every round
-/// makes progress, and because `hub_next` never decreases, messages
-/// always arrive at or above the receiver's clock however long they sat
-/// parked — the causality auditor checks exactly this.
-fn pdes_coordinate(
-    hub: &mut Hub,
-    hub_dq: &mut DomainQ<Ev>,
-    la_up: &[SimDuration],
-    la_dn: &[SimDuration],
-    exec: &mut dyn RoundExec,
-) -> SimTime {
-    let n = la_up.len();
-    // The shortest round trip hub → any client → hub. Every event the hub
-    // executes may emit toward an idle client and provoke a response, so
-    // the hub's round may never run further than this past its own head —
-    // an idle client constrains the hub even though it reports no events.
-    let echo = la_up
-        .iter()
-        .zip(la_dn)
-        .map(|(u, d)| *u + *d)
-        .min()
-        .expect("partitioned worlds have at least one client");
-    let mut sched = ClientSched::new(la_up, la_dn);
-    let mut inbox: Vec<Vec<Msg>> = (0..n).map(|_| Vec::new()).collect();
-    let mut hub_emits: Vec<(usize, Msg)> = Vec::new();
-    let mut jobs: Vec<RoundJob> = Vec::with_capacity(n);
-    let mut reports: Vec<(usize, ClientReport)> = Vec::new();
-    let mut to_hub: Vec<Msg> = Vec::new();
-    let mut live: Vec<usize> = vec![0; n];
-    let mut live_total = 0usize;
-    let mut finish = SimTime::ZERO;
-    let mut rounds = 0u64;
-    // Round 0 only releases the workload threads: bound zero executes no
-    // events, every thread runs to its first block (as `release_threads`
-    // does monolithically), and the first real events get scheduled.
-    for ci in 0..n {
-        jobs.push(RoundJob {
-            ci,
-            bound: SimTime::ZERO,
-            msgs: Vec::new(),
-        });
-    }
-    exec.dispatch(&mut jobs);
-    exec.collect(&mut reports, &mut to_hub);
-    jobs.clear();
-    for (t, k, ev) in to_hub.drain(..) {
-        hub_dq.push_incoming(t, k, ev);
-    }
-    for (ci, r) in reports.drain(..) {
-        live_total += r.live;
-        live[ci] = r.live;
-        finish = finish.max(r.last_finish);
-        sched.set_eff(ci, r.eot);
-    }
-    loop {
-        rounds += 1;
-        if live_total == 0 {
-            // Like the monolithic engine, the run ends the moment the
-            // last workload thread finishes; any remaining queue entries
-            // (stale retransmit timers, reassembly expiries) are dropped.
-            if std::env::var_os("RENOFS_PDES_DEBUG").is_some() {
-                eprintln!("[pdes-debug] rounds={rounds} clients={n}");
-            }
-            break;
-        }
-        let hub_eot = hub_dq.peek().map(|(t, _)| t);
-        let client_up = sched.client_up();
-        assert!(
-            hub_eot.is_some() || client_up.is_some(),
-            "deadlock: threads blocked with no pending events"
-        );
-        // Echo cap: cut the hub's bound at head + shortest round trip.
-        let hub_bound = match (client_up, hub_eot.map(|h| h + echo)) {
-            (Some(b), Some(cap)) => b.min(cap),
-            (b, cap) => b.or(cap).expect("asserted above"),
-        };
-        // The hub's earliest possible action: its own queue head or the
-        // earliest client emission that could reach it (= its round
-        // bound), whichever is sooner. Using the min keeps a client from
-        // running past its own reply when the hub's head event is far in
-        // the future, and keeps every client's round bound finite while
-        // the hub could still answer it — an unbounded round would grind
-        // a blocked client's retransmit timer forever.
-        let hub_next = match hub_eot {
-            Some(h) => h.min(hub_bound),
-            None => hub_bound,
-        };
-        sched.schedule(hub_next, &mut inbox, &mut jobs);
-        exec.dispatch(&mut jobs);
-        // The hub's round runs on the coordinator thread, overlapping
-        // the workers' client rounds. When its head sits at or above its
-        // bound it would pop nothing — don't even make the call.
-        if hub_eot.is_some_and(|h| h < hub_bound) {
-            hub.round(hub_dq, hub_bound, &mut hub_emits);
-        }
-        exec.collect(&mut reports, &mut to_hub);
-        // Hand each job's (drained) message buffer back to the client's
-        // inbox slot so its capacity gets reused. (The parallel executor
-        // consumed the jobs; this loop is then a no-op.)
-        for job in jobs.drain(..) {
-            if job.msgs.capacity() > 0 {
-                inbox[job.ci] = job.msgs;
-            }
-        }
-        for (ci, r) in reports.drain(..) {
-            live_total -= live[ci] - r.live;
-            live[ci] = r.live;
-            finish = finish.max(r.last_finish);
-            // The job delivered everything parked for this client, so
-            // its queue head is the whole story again.
-            sched.set_eff(ci, r.eot);
-        }
-        // Absorb client emissions only after the hub's round: they are
-        // stamped at or above the hub's bound, so its clock has not
-        // passed them (the causality auditor checks exactly this).
-        for (t, k, ev) in to_hub.drain(..) {
-            hub_dq.push_incoming(t, k, ev);
-        }
-        for (ci, m) in hub_emits.drain(..) {
-            sched.note_msg(ci, m.0);
-            inbox[ci].push(m);
-        }
-    }
-    finish
 }
 
 #[cfg(test)]
@@ -3225,6 +1920,68 @@ mod tests {
             world.now()
         };
         assert_eq!(run_once(), run_once(), "identical seeds, identical clocks");
+    }
+
+    /// Drives a 4-client UDP crowd (a 2-daemon nfsd pool, so requests
+    /// queue) to completion, optionally stopping at `split` first, and
+    /// renders every observable: clock, queue counters, per-client
+    /// console logs and transport counters, server and nfsd accounting,
+    /// and what each workload thread saw.
+    fn crowd_state(split: Option<SimTime>) -> String {
+        let mut cfg = WorldConfig::baseline();
+        cfg.clients = 4;
+        cfg.nfsds = 2;
+        cfg.server.dup_cache = true;
+        let mut world = World::new(cfg);
+        preload(&mut world, "d.bin", &[3u8; 9_000]);
+        let root = world.root_handle();
+        let (tx, rx) = result_channel();
+        for ci in 0..4 {
+            let tx = tx.clone();
+            world.spawn_on(ci, move |sys| {
+                let mut fs = ClientFs::mount(sys, ClientConfig::reno(), root, "uvax1");
+                let mut seen = Vec::new();
+                for round in 0..6u64 {
+                    fs.sys()
+                        .sleep(SimDuration::from_millis(40 * (ci as u64 + 1) + round));
+                    let fh = fs.lookup_path("/d.bin").unwrap();
+                    let got = fs.read(fh, 0, 9_000).unwrap();
+                    let now = fs.sys().now();
+                    seen.push((got.len(), now));
+                }
+                tx.send((ci, seen)).unwrap();
+            });
+        }
+        drop(tx);
+        if let Some(t) = split {
+            world.run_until(t);
+            assert!(world.now() <= t, "run_until overshot its bound");
+            assert!(world.now() > SimTime::ZERO, "run_until ran nothing");
+        }
+        world.run();
+        let mut seen: Vec<_> = rx.iter().collect();
+        seen.sort_unstable();
+        let mut out = format!("now={:?} queue={:?}\n", world.now(), world.queue_stats());
+        for ci in 0..world.client_count() {
+            out.push_str(&format!(
+                "client{ci}: events={:?} udp={:?}\n",
+                world.client_events_of(ci),
+                world.udp_stats_of(ci)
+            ));
+        }
+        out.push_str(&format!(
+            "server={:?} nfsd={:?} seen={seen:?}\n",
+            world.server().stats(),
+            world.nfsd_stats()
+        ));
+        out
+    }
+
+    #[test]
+    fn run_until_then_run_matches_run_on_a_crowd_world() {
+        let whole = crowd_state(None);
+        let split = crowd_state(Some(SimTime::from_millis(150)));
+        assert_eq!(split, whole);
     }
 
     #[test]

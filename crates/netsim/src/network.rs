@@ -116,10 +116,6 @@ struct ReasmState {
 /// The per-host IP reassembly machinery: in-progress datagrams keyed by
 /// `(host, src, dgram id)`, the part-list recycling pool, and the
 /// reassembly timeout.
-///
-/// Factored out of [`Network`] so a partitioned world's client domains
-/// ([`crate::AccessNet`]) run the identical reassembly code on their own
-/// state instead of sharing the hub's map.
 pub(crate) struct Reassembler {
     reasm: HashMap<(NodeId, NodeId, u64), ReasmState>,
     timeout: SimDuration,
@@ -255,8 +251,7 @@ impl Reassembler {
 /// Splits a datagram into MTU-sized fragments appended to `frags`.
 /// Fragment payload chains share the original's clusters, so this copies
 /// (almost) nothing — exactly like the BSD `ip_output` fragmentation
-/// path. Shared by the hub [`Network`] and the per-client
-/// [`crate::AccessNet`].
+/// path.
 pub(crate) fn fragment_into(
     dgram: Datagram,
     mtu: usize,

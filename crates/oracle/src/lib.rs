@@ -18,7 +18,10 @@
 //! * **Content integrity.** Every observed content must be *some*
 //!   version the single writer of that file actually wrote — a read
 //!   must never return torn, scrambled, or invented bytes, no matter
-//!   what the network did to the frames in flight.
+//!   what the network did to the frames in flight. An empty read may
+//!   also see the freshly created file: that state ranks before the
+//!   first version, so the close-to-open floor and per-reader
+//!   monotonicity still apply to it.
 //! * **Synchronous-write durability.** The server acknowledges a WRITE
 //!   only after it is on stable storage (DESIGN.md §6a), so a version
 //!   committed before a server crash must still be visible after the
@@ -175,8 +178,9 @@ pub enum Violation {
         path: String,
         /// When the open was issued (virtual ns).
         t: u64,
-        /// Version index the reader saw.
-        seen: usize,
+        /// Version index the reader saw (`None`: the freshly created,
+        /// still empty file).
+        seen: Option<usize>,
         /// Newest version index committed more than `grace` before the
         /// open — the version the reader was entitled to.
         floor: usize,
@@ -189,8 +193,9 @@ pub enum Violation {
         path: String,
         /// When the later read returned (virtual ns).
         t: u64,
-        /// Version index the later read saw.
-        seen: usize,
+        /// Version index the later read saw (`None`: the freshly
+        /// created, still empty file).
+        seen: Option<usize>,
         /// Version index a previous read had already seen.
         prev: usize,
     },
@@ -256,6 +261,14 @@ pub(crate) fn violation_total_key(v: &Violation) -> (u64, usize, String) {
     (t, c, format!("{v:?}"))
 }
 
+/// Names a version index as a violation report prints it.
+fn version_name(seen: Option<usize>) -> String {
+    match seen {
+        Some(k) => format!("version {k}"),
+        None => "the freshly created empty file".to_string(),
+    }
+}
+
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -280,8 +293,9 @@ impl fmt::Display for Violation {
             } => write!(
                 f,
                 "stale read: client {client} opened {path} at t={}ms and saw \
-                 version {seen}, but close-to-open entitles it to version {floor}",
-                t / 1_000_000
+                 {}, but close-to-open entitles it to version {floor}",
+                t / 1_000_000,
+                version_name(*seen)
             ),
             Violation::TimeTravel {
                 client,
@@ -292,8 +306,9 @@ impl fmt::Display for Violation {
             } => write!(
                 f,
                 "time travel: client {client} re-read {path} at t={}ms and saw \
-                 version {seen} after having already seen version {prev}",
-                t / 1_000_000
+                 {} after having already seen version {prev}",
+                t / 1_000_000,
+                version_name(*seen)
             ),
             Violation::LostFile {
                 client,
@@ -512,12 +527,10 @@ impl Oracle {
                         .rev()
                         .find(|(_, v)| v.t_start <= obs.t_done && v.len == *len && v.fnv == *fnv)
                         .map(|(k, _)| k);
-                    let Some(seen) = seen else {
-                        // An empty read of a never-committed file is the
-                        // freshly created state, not corruption.
-                        if *len == 0 && pm.versions.is_empty() {
-                            continue;
-                        }
+                    // An unmatched empty read saw the freshly created
+                    // file (`None`), which ranks before version 0; any
+                    // other unmatched content is corruption.
+                    if seen.is_none() && *len != 0 {
                         violations.push(Violation::CorruptRead {
                             client: obs.client,
                             path: path.to_string(),
@@ -526,7 +539,7 @@ impl Oracle {
                             fnv: *fnv,
                         });
                         continue;
-                    };
+                    }
                     // Close-to-open floor: the newest *certain* version
                     // committed more than `grace` before the open.
                     let floor = pm
@@ -537,7 +550,7 @@ impl Oracle {
                         .find(|(_, v)| v.certain && v.t_done + self.grace <= obs.t_start)
                         .map(|(k, _)| k);
                     if let Some(floor) = floor {
-                        if seen < floor {
+                        if seen < Some(floor) {
                             violations.push(Violation::StaleRead {
                                 client: obs.client,
                                 path: path.to_string(),
@@ -550,7 +563,7 @@ impl Oracle {
                     let key = (obs.client, path);
                     let prev = last_seen.get(&key).copied();
                     if let Some(prev) = prev {
-                        if seen < prev {
+                        if seen < Some(prev) {
                             violations.push(Violation::TimeTravel {
                                 client: obs.client,
                                 path: path.to_string(),
@@ -560,7 +573,9 @@ impl Oracle {
                             });
                         }
                     }
-                    last_seen.insert(key, seen.max(prev.unwrap_or(0)));
+                    if let Some(seen) = seen {
+                        last_seen.insert(key, seen.max(prev.unwrap_or(0)));
+                    }
                 }
                 ObsKind::ReadFailed { status, .. } => {
                     if exists.get(path) == Some(&Exists::Unknown) {
@@ -709,7 +724,7 @@ mod tests {
             matches!(
                 v.as_slice(),
                 [Violation::StaleRead {
-                    seen: 0,
+                    seen: Some(0),
                     floor: 1,
                     ..
                 }]
@@ -758,7 +773,7 @@ mod tests {
             matches!(
                 v.as_slice(),
                 [Violation::TimeTravel {
-                    seen: 0,
+                    seen: Some(0),
                     prev: 1,
                     ..
                 }]

@@ -22,8 +22,8 @@
 //! flattened log. Because the release *sequence* is a pure function of
 //! the observations themselves (watermarks only gate progress, never
 //! reorder it), every derived quantity — violations, `peak_retained`,
-//! retirement counts — is byte-identical at any `--jobs` or
-//! `--sim-threads` setting and any feed interleaving.
+//! retirement counts — is byte-identical at any `--jobs` setting and
+//! any feed interleaving.
 //!
 //! # Eager vs deferred adjudication
 //!
@@ -70,10 +70,10 @@
 //! * `ever_removed` (which downgrades the directory-listing check) is
 //!   prefix knowledge here but whole-log there; the workload never
 //!   removes a committed file, so the two agree.
-//! * The empty-read exemption and the path-never-modelled exemption
-//!   are decided at hold expiry from prefix state; a first commit or
-//!   first create arriving more than `hold` after the read would flip
-//!   them. Reads follow creation in the workload.
+//! * The empty-read (freshly created file) match and the
+//!   path-never-modelled exemption are decided at hold expiry from
+//!   prefix state; a first create arriving more than `hold` after the
+//!   read would flip them. Reads follow creation in the workload.
 //! * Names quiescent longer than `retain` with no versions are garbage
 //!   collected and lose replay armor; soak temp names are used once.
 
@@ -202,12 +202,6 @@ struct PathState {
     first_certain_t_done: Option<u64>,
     /// Model time of the last observation touching this path (GC).
     touched: u64,
-}
-
-impl PathState {
-    fn total_versions(&self) -> usize {
-        self.retired + self.versions.len()
-    }
 }
 
 /// The incremental checker. Feed per-client observations as they
@@ -489,7 +483,7 @@ impl StreamingOracle {
                         .push_back(p);
                     self.pending_live += 1;
                 } else if let Some(seen) = self.try_match(&path, &p) {
-                    self.adjudicate(&path, &p, seen);
+                    self.adjudicate(&path, &p, Some(seen));
                 } else {
                     self.pending.entry(key).or_default().push_back(p);
                     self.pending_live += 1;
@@ -581,8 +575,9 @@ impl StreamingOracle {
 
     /// Adjudicates a matched read: close-to-open floor, then per-reader
     /// monotonicity. Mirrors the buffered arm verbatim (including the
-    /// `max(prev)` bookkeeping).
-    fn adjudicate(&mut self, path: &str, p: &Pending, seen: usize) {
+    /// `max(prev)` bookkeeping). `seen == None` is the freshly created
+    /// empty file, which ranks before version 0.
+    fn adjudicate(&mut self, path: &str, p: &Pending, seen: Option<usize>) {
         let ps = &self.paths[path];
         let floor = ps
             .versions
@@ -592,7 +587,7 @@ impl StreamingOracle {
             .find(|(_, v)| v.certain && v.t_done + self.cfg.grace <= p.t_start)
             .map(|(k, _)| ps.retired + k);
         if let Some(floor) = floor {
-            if seen < floor {
+            if seen < Some(floor) {
                 self.violations.push(Violation::StaleRead {
                     client: p.client,
                     path: path.to_string(),
@@ -605,7 +600,7 @@ impl StreamingOracle {
         let key = (p.client, path.to_string());
         let prev = self.last_seen.get(&key).copied();
         if let Some(prev) = prev {
-            if seen < prev {
+            if seen < Some(prev) {
                 self.violations.push(Violation::TimeTravel {
                     client: p.client,
                     path: path.to_string(),
@@ -615,7 +610,9 @@ impl StreamingOracle {
                 });
             }
         }
-        self.last_seen.insert(key, seen.max(prev.unwrap_or(0)));
+        if let Some(seen) = seen {
+            self.last_seen.insert(key, seen.max(prev.unwrap_or(0)));
+        }
     }
 
     /// Final adjudication of a pending read that will never resolve
@@ -623,18 +620,15 @@ impl StreamingOracle {
     /// checker's exemptions, else report corruption.
     fn settle(&mut self, path: &str, p: Pending) {
         if let Some(seen) = self.try_match(path, &p) {
-            self.adjudicate(path, &p, seen);
+            self.adjudicate(path, &p, Some(seen));
             return;
         }
         match self.paths.get(path) {
             // Never-modelled path: the buffered checker skips it too.
             None => {}
-            Some(ps) => {
-                // An empty read of a never-committed file is the
-                // freshly created state, not corruption.
-                if p.len == 0 && ps.total_versions() == 0 {
-                    return;
-                }
+            // An unmatched empty read saw the freshly created file.
+            Some(_) if p.len == 0 => self.adjudicate(path, &p, None),
+            Some(_) => {
                 self.violations.push(Violation::CorruptRead {
                     client: p.client,
                     path: path.to_string(),
@@ -662,7 +656,7 @@ impl StreamingOracle {
                 .expect("drained fifo")
                 .pop_front();
             self.pending_live -= 1;
-            self.adjudicate(path, &head, seen);
+            self.adjudicate(path, &head, Some(seen));
         }
     }
 
@@ -923,6 +917,59 @@ mod tests {
         assert!(b.iter().any(|v| matches!(v, Violation::StaleRead { .. })));
         assert!(b.iter().any(|v| matches!(v, Violation::TimeTravel { .. })));
         assert_eq!(b, s);
+    }
+
+    /// A created file whose only write timed out (an uncertain
+    /// version) may legitimately read back empty: the freshly created
+    /// state ranks before version 0. Both checkers must accept it, yet
+    /// still hold it to the close-to-open floor and to per-reader
+    /// monotonicity.
+    #[test]
+    fn created_empty_state_is_the_version_before_the_first_write() {
+        let clean = vec![
+            created(2, SEC, "/c2/f1", OpOutcome::Ok),
+            committed(2, 2 * SEC, "/c2/f1", "v1", false),
+            observed(1, 7 * SEC, "/c2/f1", ""),
+            observed(0, 11 * SEC, "/c2/f1", ""),
+        ];
+        let (b, s, _) = both(cfg_small(), split(&clean, 3));
+        assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
+        assert_eq!(b, s);
+
+        let dirty = vec![
+            created(0, SEC, "/d/f", OpOutcome::Ok),
+            committed(0, 2 * SEC, "/d/f", "v1", true),
+            // Long after a certain close: the empty state is stale.
+            observed(1, 9 * SEC, "/d/f", ""),
+            // Within grace of v2, but this reader already saw v1.
+            committed(0, 12 * SEC, "/d/f", "v2", false),
+            observed(2, 12 * SEC + 500 * MS, "/d/f", "v1"),
+            observed(2, 13 * SEC, "/d/f", ""),
+        ];
+        let (b, s, _) = both(cfg_small(), split(&dirty, 3));
+        assert!(
+            matches!(
+                b.as_slice(),
+                [
+                    Violation::StaleRead {
+                        client: 1,
+                        seen: None,
+                        floor: 0,
+                        ..
+                    },
+                    Violation::StaleRead { client: 2, .. },
+                    Violation::TimeTravel {
+                        client: 2,
+                        seen: None,
+                        prev: 0,
+                        ..
+                    },
+                ]
+            ),
+            "{b:?}"
+        );
+        assert_eq!(b, s);
+        assert!(b[0].to_string().contains("the freshly created empty file"));
     }
 
     #[test]

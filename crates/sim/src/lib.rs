@@ -20,7 +20,6 @@
 
 pub mod cpu;
 pub mod disk;
-pub mod pdes;
 pub mod profile;
 pub mod queue;
 pub mod rng;
@@ -29,7 +28,6 @@ pub mod time;
 
 pub use cpu::{Cpu, CpuProfile};
 pub use disk::{Disk, DiskProfile};
-pub use pdes::{DomainQ, Merge};
 pub use queue::{AdaptiveQueue, EventQueue};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

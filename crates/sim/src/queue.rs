@@ -184,19 +184,6 @@ impl<E> EventQueue<E> {
         self.insert(at, seq, event);
     }
 
-    /// Schedules `event` at time `at` under a caller-supplied tie-break
-    /// key instead of the internal counter.
-    ///
-    /// This is the PDES entry point: per-domain queues order simultaneous
-    /// events by a globally unique `(creator domain, creator seq)` key so
-    /// the merge order is identical whether domains run interleaved on one
-    /// thread or concurrently on many. A queue must be fed *either* keyed
-    /// or unkeyed pushes, never a mix — the internal counter does not
-    /// advance past caller keys.
-    pub fn push_keyed(&mut self, at: SimTime, key: u64, event: E) {
-        self.insert(at, key, event);
-    }
-
     fn insert(&mut self, at: SimTime, seq: u64, event: E) {
         if let Some(t) = self.trace.as_mut() {
             t.push(QueueOp::Push(at));
@@ -229,13 +216,6 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, advancing the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_keyed().map(|(t, _, e)| (t, e))
-    }
-
-    /// Like [`pop`](Self::pop), but also returns the event's tie-break key
-    /// (the internal counter, or the caller key under
-    /// [`push_keyed`](Self::push_keyed)).
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         if self.near.is_empty() {
             self.refill();
         }
@@ -248,7 +228,7 @@ impl<E> EventQueue<E> {
             t.push(QueueOp::Pop);
         }
         crate::profile::count_event();
-        Some((entry.time, entry.seq, entry.event))
+        Some((entry.time, entry.event))
     }
 
     /// The time of the earliest pending event, if any.
@@ -260,16 +240,6 @@ impl<E> EventQueue<E> {
             self.refill();
         }
         self.near.peek().map(|e| e.time)
-    }
-
-    /// The `(time, key)` of the earliest pending event, if any, without
-    /// removing it. Takes `&mut self` for the same cursor-advance reason
-    /// as [`peek_time`](Self::peek_time).
-    pub fn peek_keyed(&mut self) -> Option<(SimTime, u64)> {
-        if self.near.is_empty() {
-            self.refill();
-        }
-        self.near.peek().map(|e| (e.time, e.seq))
     }
 
     /// Number of pending events.
@@ -435,22 +405,11 @@ pub mod baseline {
         pub fn push(&mut self, at: SimTime, event: E) {
             let seq = self.seq;
             self.seq += 1;
-            self.push_keyed(at, seq, event);
-        }
-
-        /// Schedules `event` under a caller-supplied tie-break key. Keyed
-        /// and unkeyed pushes must not be mixed on one queue; see
-        /// [`EventQueue::push_keyed`](super::EventQueue::push_keyed).
-        pub fn push_keyed(&mut self, at: SimTime, key: u64, event: E) {
             if let Some(t) = self.trace.as_mut() {
                 t.push(QueueOp::Push(at));
             }
             let time = at.max(self.now);
-            self.heap.push(Entry {
-                time,
-                seq: key,
-                event,
-            });
+            self.heap.push(Entry { time, seq, event });
             if self.heap.len() > self.peak {
                 self.peak = self.heap.len();
             }
@@ -458,11 +417,6 @@ pub mod baseline {
 
         /// Removes and returns the earliest event, advancing the clock.
         pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            self.pop_keyed().map(|(t, _, e)| (t, e))
-        }
-
-        /// Like [`pop`](Self::pop), but also returns the tie-break key.
-        pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
             let entry = self.heap.pop()?;
             debug_assert!(entry.time >= self.now, "time ran backwards");
             self.now = entry.time;
@@ -471,7 +425,7 @@ pub mod baseline {
             if let Some(t) = self.trace.as_mut() {
                 t.push(QueueOp::Pop);
             }
-            Some((entry.time, entry.seq, entry.event))
+            Some((entry.time, entry.event))
         }
 
         /// Pops without counting, tracing, or profiling: promotion uses
@@ -498,14 +452,8 @@ pub mod baseline {
             self.heap.peek().map(|e| e.time)
         }
 
-        /// The `(time, key)` of the earliest pending event, if any.
-        pub fn peek_keyed(&self) -> Option<(SimTime, u64)> {
-            self.heap.peek().map(|e| (e.time, e.seq))
-        }
-
         /// The internal sequence counter; promotion transfers it so
-        /// post-promotion unkeyed pushes keep sorting after migrated
-        /// entries.
+        /// post-promotion pushes keep sorting after migrated entries.
         pub(super) fn next_seq(&self) -> u64 {
             self.seq
         }
@@ -649,32 +597,11 @@ impl<E> AdaptiveQueue<E> {
         }
     }
 
-    /// Schedules `event` under a caller-supplied tie-break key. Keyed and
-    /// unkeyed pushes must not be mixed on one queue; see
-    /// [`EventQueue::push_keyed`]. Promotion preserves caller keys, so the
-    /// `(time, key)` ordering contract survives the backend switch.
-    pub fn push_keyed(&mut self, at: SimTime, key: u64, event: E) {
-        match &mut self.backend {
-            Backend::Heap(q) => {
-                q.push_keyed(at, key, event);
-                if q.len() >= PROMOTE_DEPTH {
-                    self.promote();
-                }
-            }
-            Backend::Wheel(q) => q.push_keyed(at, key, event),
-        }
-    }
-
     /// Removes and returns the earliest event, advancing the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_keyed().map(|(t, _, e)| (t, e))
-    }
-
-    /// Like [`pop`](Self::pop), but also returns the tie-break key.
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         match &mut self.backend {
-            Backend::Heap(q) => q.pop_keyed(),
-            Backend::Wheel(q) => q.pop_keyed(),
+            Backend::Heap(q) => q.pop(),
+            Backend::Wheel(q) => q.pop(),
         }
     }
 
@@ -683,14 +610,6 @@ impl<E> AdaptiveQueue<E> {
         match &mut self.backend {
             Backend::Heap(q) => q.peek_time(),
             Backend::Wheel(q) => q.peek_time(),
-        }
-    }
-
-    /// The `(time, key)` of the earliest pending event, if any.
-    pub fn peek_keyed(&mut self) -> Option<(SimTime, u64)> {
-        match &mut self.backend {
-            Backend::Heap(q) => q.peek_keyed(),
-            Backend::Wheel(q) => q.peek_keyed(),
         }
     }
 
@@ -740,9 +659,8 @@ impl<E> AdaptiveQueue<E> {
     }
 
     /// Drains the heap in pop order into a fresh wheel positioned at the
-    /// heap's clock. Entries migrate with their tie-break keys intact, so
-    /// both FIFO ties (internal counter keys) and PDES canonical keys
-    /// survive the migration; the wheel inherits the heap's counter,
+    /// heap's clock. Entries migrate with their sequence numbers intact,
+    /// so FIFO ties survive the migration; the wheel inherits the heap's counter,
     /// pop/peak statistics, and live trace, so the backend switch is
     /// invisible to every observer (the migration itself is neither
     /// counted nor traced).
@@ -767,7 +685,7 @@ impl<E> AdaptiveQueue<E> {
         wheel.cursor = slot_of(heap.now());
         wheel.seq = heap.next_seq();
         while let Some((t, k, e)) = heap.drain_pop() {
-            wheel.push_keyed(t, k, e);
+            wheel.insert(t, k, e);
         }
         wheel.peak = heap_peak.max(wheel.peak);
         wheel.pops = heap_pops;

@@ -20,16 +20,10 @@ cargo run -q --release -p renofs-bench --bin repro -- faults --scale quick >/dev
 echo "==> repro crowd --scale quick (smoke)"
 cargo run -q --release -p renofs-bench --bin repro -- crowd --scale quick >/dev/null
 
-echo "==> repro pdes-smoke --scale quick (256-client carve + determinism gate)"
-cargo run -q --release -p renofs-bench --bin repro -- pdes-smoke --scale quick
-
-echo "==> crowd determinism matrix (sim-threads x jobs, byte-identical)"
-cargo test -q -p renofs-bench --release --test pdes_determinism
-
 echo "==> repro shard-smoke --scale quick (N x M fleet + router determinism gate)"
 # Runs a small sharded-fleet cell, checks every shard served traffic,
-# and re-runs it under a sim-threads x jobs matrix asserting
-# byte-identical digests; exits nonzero on any mismatch.
+# and re-runs it at --jobs 1 and 2 asserting byte-identical digests;
+# exits nonzero on any mismatch.
 cargo run -q --release -p renofs-bench --bin repro -- shard-smoke --scale quick
 
 echo "==> repro soak --seeds 24 --scale quick (chaos oracle gate)"
@@ -54,11 +48,10 @@ echo "==> cargo test -p renofs-bench --features profile (alloc discipline + prof
 cargo test -q -p renofs-bench --features profile --release
 
 echo "==> repro bench --check BENCH_pr4.json (queue + crowd + lease regression gates)"
-# Also holds the PDES matrix gates, the BENCH_pr8.json lease gate
-# (>=60% write-RPC recovery vs noconsist at zero soak violations), and
-# the BENCH_pr9.json shard gate (LAN aggregate op/s at M=4 >= 2x M=1,
-# all shards routed, fairness >= 0.8, byte-identical across a fresh
-# sim-threads x jobs matrix).
+# Also holds the BENCH_pr8.json lease gate (>=60% write-RPC recovery
+# vs noconsist at zero soak violations) and the BENCH_pr9.json shard
+# gate (LAN aggregate op/s at M=4 >= 2x M=1, all shards routed,
+# fairness >= 0.8, byte-identical between fresh runs at jobs 1 and 2).
 cargo run -q --release -p renofs-bench --bin repro -- bench --scale quick --check BENCH_pr4.json
 
 echo "All checks passed."

@@ -11,7 +11,6 @@
 # Environment:
 #   SOAK_DURATION     wall-clock budget in seconds   (default 28800 = 8h)
 #   SOAK_SEEDS        seed cap                        (default 512)
-#   SOAK_SIM_THREADS  PDES threads per world          (default 1)
 #   SOAK_JOBS         parallel worlds                 (default: all cores)
 #   SOAK_OUT          summary artifact path           (default SOAK_OVERNIGHT.txt)
 set -euo pipefail
@@ -20,7 +19,6 @@ cd "$(dirname "$0")/.."
 
 DURATION="${SOAK_DURATION:-28800}"
 SEEDS="${SOAK_SEEDS:-512}"
-SIM_THREADS="${SOAK_SIM_THREADS:-1}"
 OUT="${SOAK_OUT:-SOAK_OVERNIGHT.txt}"
 JOBS_ARGS=()
 if [[ -n "${SOAK_JOBS:-}" ]]; then
@@ -30,11 +28,11 @@ fi
 echo "==> building release repro"
 cargo build -q --release -p renofs-bench --bin repro
 
-echo "==> overnight soak: --long, ${DURATION}s budget, up to ${SEEDS} seeds," \
-     "sim-threads=${SIM_THREADS} (heartbeats below; summary -> ${OUT})"
+echo "==> overnight soak: --long, ${DURATION}s budget, up to ${SEEDS} seeds" \
+     "(heartbeats below; summary -> ${OUT})"
 STATUS=0
 ./target/release/repro soak --long --duration "$DURATION" --seeds "$SEEDS" \
-    --sim-threads "$SIM_THREADS" "${JOBS_ARGS[@]}" | tee "$OUT" || STATUS=$?
+    "${JOBS_ARGS[@]}" | tee "$OUT" || STATUS=$?
 
 if [[ "$STATUS" -ne 0 ]]; then
     echo "==> OVERNIGHT SOAK FAILED (exit $STATUS): see $OUT for the shrunk repro"
